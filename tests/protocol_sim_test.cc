@@ -3,6 +3,14 @@
 // savings, and the per-node traffic properties of Adam vs Poseidon.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/cluster/protocol_sim.h"
 #include "src/cluster/system_config.h"
 #include "src/models/zoo.h"
@@ -230,6 +238,91 @@ TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
   EXPECT_GT(compressed_layers, 0)
       << "the byte-basis chooser never picked a compressed PS row";
   EXPECT_LT(TotalTxGbits(mixed), TotalTxGbits(plain));
+}
+
+// ----------------------------------------------------------------- golden --
+
+// Every named system's per-layer decision (scheme label, codec suffix) and
+// its headline timing and traffic, on the five Table 3 models at 1, 2 and 8
+// nodes over 10 GbE, must reproduce tests/golden/sim_decisions.txt byte for
+// byte. A legitimate change to a decision or to the simulator regenerates it
+// with POSEIDON_REGEN_GOLDEN=1.
+std::string SimDecisionLine(const ModelSpec& model, const SimResult& result) {
+  double tx_gbits = 0.0;
+  for (double gbits : result.tx_gbits_per_iter) {
+    tx_gbits += gbits;
+  }
+  char head[160];
+  std::snprintf(head, sizeof(head), "iter_s=%.17g tx_bytes=%.17g", result.iter_time_s,
+                tx_gbits * 1e9 / 8.0);
+  std::string line = result.system + " " + model.name + " n=" +
+                     std::to_string(result.num_nodes) + " " + head;
+  for (const LayerSpec& layer : model.layers) {
+    line += " " + layer.name + "=" + result.layer_schemes.at(layer.name);
+  }
+  return line;
+}
+
+TEST(SimDecisionGoldenTest, NamedSystemsReproduceCommittedDecisions) {
+  const char* dir = std::getenv("POSEIDON_GOLDEN_DIR");
+  ASSERT_NE(dir, nullptr) << "POSEIDON_GOLDEN_DIR not set (ctest sets it)";
+  const std::string path = std::string(dir) + "/sim_decisions.txt";
+
+  const std::vector<SystemConfig> systems = {
+      CaffePlusPs(),
+      CaffePlusWfbp(),
+      PoseidonSystem(),
+      TfNative(),
+      TfPlusWfbp(),
+      AdamSystem(),
+      OneBitSystem(),
+      SfbOnlySystem(),
+      RingAllreduceSystem(),
+      TreeAllreduceSystem(),
+      HybridCollectiveSystem(),
+      ShardedPsSystem(4),
+      SspPoseidonSystem(2),
+      CompressedPsSystem(GradCompression::kFp16),
+      CompressedPsSystem(GradCompression::kInt8),
+      CompressedPsSystem(GradCompression::kTopK),
+      CompressedPsSystem(GradCompression::kNone, 0.01, /*auto_per_layer=*/true),
+  };
+  std::string text;
+  for (const char* name : {"googlenet", "inception-v3", "vgg19", "vgg19-22k", "resnet-152"}) {
+    const ModelSpec model = ModelByName(name).value();
+    for (int nodes : {1, 2, 8}) {
+      for (const SystemConfig& system : systems) {
+        text += SimDecisionLine(model, RunProtocolSimulation(model, system, Cluster(nodes, 10.0),
+                                                             Engine::kCaffe));
+        text += "\n";
+      }
+    }
+  }
+
+  if (const char* regen = std::getenv("POSEIDON_REGEN_GOLDEN");
+      regen != nullptr && regen[0] == '1') {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path
+                         << " missing; run with POSEIDON_REGEN_GOLDEN=1 to create it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string expected = buffer.str();
+  // Line-wise first, so a drift names the system, model and node count.
+  std::istringstream want(expected);
+  std::istringstream got(text);
+  std::string want_line;
+  std::string got_line;
+  while (std::getline(want, want_line) && std::getline(got, got_line)) {
+    ASSERT_EQ(want_line, got_line) << "simulator decision drifted from the committed golden";
+  }
+  EXPECT_EQ(expected, text) << "line count drifted; regenerate with POSEIDON_REGEN_GOLDEN=1 "
+                               "only if the change is intentional";
 }
 
 TEST(ProtocolSimTest, CompressedRunsStayDeterministic) {
