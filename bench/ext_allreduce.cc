@@ -97,15 +97,19 @@ void CostTablePart(const std::vector<int>& workers) {
                    "SFB row");
       }
 
-      const CommScheme best =
-          BestSchemeExtended(row.layer, row.batch_k, /*num_workers=*/p, /*num_servers=*/p);
+      // The planner's three-way paper-mode pick for this one-layer model.
+      ModelSpec one;
+      one.name = row.label;
+      one.layers = {row.layer};
+      const CommPlan plan =
+          PlanComm(PaperRequest(one, p, row.batch_k, PlanPolicy::kHybridCollective));
       table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),
                     TextTable::Num(PsColocatedFloats(q) / 1e6, 2),
                     row.layer.type == LayerType::kFC
                         ? TextTable::Num(SfbWorkerFloats(q) / 1e6, 2)
                         : std::string("-"),
                     TextTable::Num(ring / 1e6, 2), TextTable::Num(tree / 1e6, 2),
-                    CommSchemeName(best)});
+                    PlannedSchemeName(plan.layers[0].scheme)});
     }
   }
   std::printf("%s\n", table.ToString().c_str());

@@ -5,7 +5,8 @@
 // Part 1 extends Table 1 with the compressed-PS byte rows and self-verifies
 // every printed value against the closed-form per-direction costs (to 1e-6):
 //   PS bytes = floats/2 * (PushBytesPerFloat + PullBytesPerFloat),
-// then shows what BestSchemeExtendedCompressed picks for each layer class.
+// then shows what the planner's joint byte-basis search picks for each layer
+// class.
 // Expected shape: big conv layers leave raw PS for a compressed PS row (the
 // quantized round trip undercuts even ring allreduce); layers under the
 // 64K-float gate stay raw.
@@ -78,11 +79,11 @@ void CostTablePart(const std::vector<int>& workers, double density) {
 
       std::vector<std::string> cells = {row.label, std::to_string(p)};
       const double raw_floats =
-          SchemeWireBytes(CommScheme::kPS, GradCompression::kNone, q, density) / 4.0;
+          SchemeWireBytes(PlannedScheme::kPS, GradCompression::kNone, q, density) / 4.0;
       for (GradCompression codec :
            {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
             GradCompression::kTopK}) {
-        const double bytes = SchemeWireBytes(CommScheme::kPS, codec, q, density);
+        const double bytes = SchemeWireBytes(PlannedScheme::kPS, codec, q, density);
         // Self-verify against the closed form: the float row splits exactly
         // in half per direction, each half at its direction's byte cost.
         CheckClose(bytes,
@@ -91,9 +92,17 @@ void CostTablePart(const std::vector<int>& workers, double density) {
                    "per-direction byte row");
         cells.push_back(TextTable::Num(bytes / 1e6, 2));
       }
-      const SchemeChoice best = BestSchemeExtendedCompressed(
-          row.layer, batch_k, p, p, /*ps_shards=*/1, density);
-      std::string best_label = CommSchemeName(best.scheme);
+      // The planner's joint byte-basis pick over (scheme, codec) for this
+      // one-layer model at one shard.
+      ModelSpec one;
+      one.name = row.label;
+      one.layers = {row.layer};
+      PlanRequest joint = PaperRequest(one, p, batch_k, PlanPolicy::kHybridCollective,
+                                       PlanCodecPolicy::kAuto);
+      joint.topk_density = density;
+      joint.joint = true;
+      const PlanLayerChoice best = PlanComm(joint).layers[0];
+      std::string best_label = PlannedSchemeName(best.scheme);
       if (best.compression != GradCompression::kNone) {
         best_label += std::string("+") + GradCompressionName(best.compression);
       }
@@ -110,7 +119,7 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
   std::printf("bus egress bytes measured per iteration (framing included).\n\n");
 
   const CompressionAblationPoint raw =
-      RunCompressionAblation(PsCompressionPolicy::kNone, /*topk_density=*/0.25, iters);
+      RunCompressionAblation(PlanCodecPolicy::kNone, /*topk_density=*/0.25, iters);
   const double raw_gain = raw.first_loss - raw.final_loss;
   record->Append("raw_bytes_per_iter", raw.wire_bytes_per_iter);
   record->Append("raw_final_loss", raw.final_loss);
@@ -118,7 +127,7 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
   TextTable table({"codec", "density", "B/iter", "reduction", "final loss", "matched"});
   table.AddRow({"raw", "-", TextTable::Num(raw.wire_bytes_per_iter, 0), "1.00x",
                 TextTable::Num(raw.final_loss, 4), "yes"});
-  auto add_point = [&](const char* name, PsCompressionPolicy policy, double density) {
+  auto add_point = [&](const char* name, PlanCodecPolicy policy, double density) {
     const CompressionAblationPoint point =
         RunCompressionAblation(policy, density, iters);
     const double reduction = raw.wire_bytes_per_iter / point.wire_bytes_per_iter;
@@ -128,19 +137,19 @@ void RuntimeAblationPart(int iters, const std::vector<double>& densities,
     record->Append(std::string(name) + "_reduction", reduction);
     char reduction_label[32];
     std::snprintf(reduction_label, sizeof(reduction_label), "%.2fx", reduction);
-    table.AddRow({name, policy == PsCompressionPolicy::kTopK
+    table.AddRow({name, policy == PlanCodecPolicy::kTopK
                             ? TextTable::Num(density, 2)
                             : std::string("-"),
                   TextTable::Num(point.wire_bytes_per_iter, 0), reduction_label,
                   TextTable::Num(point.final_loss, 4), matched ? "yes" : "NO"});
   };
-  add_point("fp16", PsCompressionPolicy::kFp16, 0.25);
-  add_point("int8", PsCompressionPolicy::kInt8, 0.25);
+  add_point("fp16", PlanCodecPolicy::kFp16, 0.25);
+  add_point("int8", PlanCodecPolicy::kInt8, 0.25);
   for (double density : densities) {
     char name[32];
     std::snprintf(name, sizeof(name), "topk%02d",
                   static_cast<int>(std::lround(density * 100)));
-    add_point(name, PsCompressionPolicy::kTopK, density);
+    add_point(name, PlanCodecPolicy::kTopK, density);
   }
   std::printf("%s\n", table.ToString().c_str());
 }
@@ -149,11 +158,10 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
                   const std::vector<double>& bandwidths) {
   std::vector<SystemConfig> systems = {
       CaffePlusWfbp(),
-      CompressedPsSystem(GradCompression::kFp16),
-      CompressedPsSystem(GradCompression::kInt8),
-      CompressedPsSystem(GradCompression::kTopK, /*topk_density=*/0.01),
-      CompressedPsSystem(GradCompression::kNone, /*topk_density=*/0.01,
-                         /*auto_per_layer=*/true),
+      CompressedPsSystem(PlanCodecPolicy::kFp16),
+      CompressedPsSystem(PlanCodecPolicy::kInt8),
+      CompressedPsSystem(PlanCodecPolicy::kTopK, /*topk_density=*/0.01),
+      CompressedPsSystem(PlanCodecPolicy::kAuto, /*topk_density=*/0.01),
   };
   const ModelSpec model = ModelByName("vgg19").value();
   for (double gbps : bandwidths) {

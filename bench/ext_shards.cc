@@ -6,8 +6,8 @@
 //   colocated worker + busiest endpoint: 2*M*N*(P1 + P2*S - 2)/(P2*S).
 // Expected shape: the colocated row falls toward the pure-worker 2MN floor
 // as S grows — sharding relieves the serve-path serialization, not the NIC —
-// so BestPsShardCount saturates at the cap for P1 > 2 and stays at 1 for
-// P1 <= 2 where no served share exists to spread.
+// so the planner's shard pass saturates at the cap for P1 > 2 and stays at 1
+// for P1 <= 2 where no served share exists to spread.
 //
 // Part 2 sweeps the protocol simulator over shard count x staleness x
 // bandwidth on VGG19 (PS-heavy FC layers). Expected shape: more shards
@@ -100,12 +100,22 @@ void CostTablePart(const std::vector<int>& workers, const std::vector<int>& shar
         CheckClose(PsShardedColocatedFloats(q1), PsColocatedFloats(q1),
                    "S=1 colocated row");
 
-        const int best_s = BestPsShardCount(q, /*max_shards=*/8);
-        const CommScheme best = BestSchemeExtended(row.layer, row.batch_k, p, p, s);
+        // The planner's paper mode on this one-layer model: the shard count
+        // a dense PS searches up to 8, and the three-way pick at S.
+        ModelSpec one;
+        one.name = row.label;
+        one.layers = {row.layer};
+        PlanRequest shard_search = PaperRequest(one, p, row.batch_k, PlanPolicy::kDense);
+        shard_search.ps_shards_pinned = 0;
+        shard_search.max_shards = 8;
+        const int best_s = PlanComm(shard_search).ps_shards;
+        const CommPlan best =
+            PlanComm(PaperRequest(one, p, row.batch_k, PlanPolicy::kHybridCollective,
+                                  PlanCodecPolicy::kNone, s));
         table.AddRow({row.label, std::to_string(row.batch_k), std::to_string(p),
                       std::to_string(s), TextTable::Num(srv / 1e6, 2),
                       TextTable::Num(both / 1e6, 2), std::to_string(best_s),
-                      CommSchemeName(best)});
+                      PlannedSchemeName(best.layers[0].scheme)});
       }
     }
   }

@@ -177,7 +177,7 @@ struct WirePathCounters {
   double model_floats = 0.0;  // total trainable floats, from the model itself
 };
 
-WirePathCounters RunWirePath(FcSyncPolicy policy, int workers, int hidden_layers,
+WirePathCounters RunWirePath(PlanPolicy policy, int workers, int hidden_layers,
                              bool batch, int iters) {
   DatasetConfig data;
   data.num_classes = 3;
@@ -225,7 +225,7 @@ WirePathCounters RunWirePath(FcSyncPolicy policy, int workers, int hidden_layers
   return counters;
 }
 
-void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_layers) {
+void WirePathBench(benchmark::State& state, PlanPolicy policy, int hidden_layers) {
   const bool batch = state.range(0) != 0;
   const int workers = 2;
   WirePathCounters counters;
@@ -236,7 +236,7 @@ void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_laye
   state.counters["copies/iter"] = counters.copies_per_iter;
   state.counters["msgs/iter"] = counters.msgs_per_iter;
   state.counters["logical/iter"] = counters.logical_per_iter;
-  if (policy == FcSyncPolicy::kDense) {
+  if (policy == PlanPolicy::kDense) {
     // Pre-refactor model (see comment above), anchored on the model's own
     // parameter count T so the ratio is a real measurement: the old path
     // staged (4W+1)T floats per iteration; the measured counter should be
@@ -250,17 +250,17 @@ void WirePathBench(benchmark::State& state, FcSyncPolicy policy, int hidden_laye
 
 // 20-layer MLP on the PS path: the batcher's headline case.
 void BM_WirePathPs20Layer(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kDense, /*hidden_layers=*/18);
+  WirePathBench(state, PlanPolicy::kDense, /*hidden_layers=*/18);
 }
 BENCHMARK(BM_WirePathPs20Layer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathSfb(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kSfb, /*hidden_layers=*/2);
+  WirePathBench(state, PlanPolicy::kSfb, /*hidden_layers=*/2);
 }
 BENCHMARK(BM_WirePathSfb)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathOneBit(benchmark::State& state) {
-  WirePathBench(state, FcSyncPolicy::kOneBit, /*hidden_layers=*/2);
+  WirePathBench(state, PlanPolicy::kOneBit, /*hidden_layers=*/2);
 }
 BENCHMARK(BM_WirePathOneBit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -397,7 +397,7 @@ void RecordRoofline(BenchRecord* record) {
               record->Series("mem_bw_gbps").front());
 }
 
-void RecordWirePath(const char* prefix, FcSyncPolicy policy, int hidden_layers,
+void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,
                     BenchRecord* record) {
   const int workers = 2;
   const WirePathCounters counters =
@@ -406,7 +406,7 @@ void RecordWirePath(const char* prefix, FcSyncPolicy policy, int hidden_layers,
   record->Append(p + "_floats_per_iter", counters.floats_per_iter);
   record->Append(p + "_copies_per_iter", counters.copies_per_iter);
   record->Append(p + "_msgs_per_iter", counters.msgs_per_iter);
-  if (policy == FcSyncPolicy::kDense) {
+  if (policy == PlanPolicy::kDense) {
     // Same pre-refactor copy model as BM_WirePathPs20Layer above.
     const double before = (4.0 * workers + 1.0) * counters.model_floats;
     record->Append(p + "_copy_reduction", before / counters.floats_per_iter);
@@ -429,7 +429,7 @@ bool RecordCompressionAblation(BenchRecord* record) {
   const int iters = 16;
   const double density = 0.25;
   const CompressionAblationPoint raw =
-      RunCompressionAblation(PsCompressionPolicy::kNone, density, iters);
+      RunCompressionAblation(PlanCodecPolicy::kNone, density, iters);
   record->Append("ext_compression_raw_bytes_per_iter", raw.wire_bytes_per_iter);
   record->Append("ext_compression_raw_final_loss", raw.final_loss);
   const double raw_gain = raw.first_loss - raw.final_loss;
@@ -437,10 +437,10 @@ bool RecordCompressionAblation(BenchRecord* record) {
   double best_matched = 0.0;
   const struct {
     const char* name;
-    PsCompressionPolicy policy;
-  } codecs[] = {{"fp16", PsCompressionPolicy::kFp16},
-                {"int8", PsCompressionPolicy::kInt8},
-                {"topk", PsCompressionPolicy::kTopK}};
+    PlanCodecPolicy policy;
+  } codecs[] = {{"fp16", PlanCodecPolicy::kFp16},
+                {"int8", PlanCodecPolicy::kInt8},
+                {"topk", PlanCodecPolicy::kTopK}};
   for (const auto& codec : codecs) {
     const CompressionAblationPoint point =
         RunCompressionAblation(codec.policy, density, iters);
@@ -576,9 +576,9 @@ bool SelfCheckAndRecord(BenchRecord* record) {
   RecordRoofline(record);
 
   // Wire-path staging-copy counts per training iteration, per scheme.
-  RecordWirePath("wire_ps", FcSyncPolicy::kDense, /*hidden_layers=*/18, record);
-  RecordWirePath("wire_sfb", FcSyncPolicy::kSfb, /*hidden_layers=*/2, record);
-  RecordWirePath("wire_onebit", FcSyncPolicy::kOneBit, /*hidden_layers=*/2, record);
+  RecordWirePath("wire_ps", PlanPolicy::kDense, /*hidden_layers=*/18, record);
+  RecordWirePath("wire_sfb", PlanPolicy::kSfb, /*hidden_layers=*/2, record);
+  RecordWirePath("wire_onebit", PlanPolicy::kOneBit, /*hidden_layers=*/2, record);
 
   // Compressed-PS bytes-vs-loss trajectory and its 2x matched-loss gate.
   if (!RecordCompressionAblation(record)) {

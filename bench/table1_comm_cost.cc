@@ -33,8 +33,9 @@ void PrintCostRow(TextTable* table, const CommCostQuery& q) {
       TextTable::Num(AdamServerMaxFloats(q) / 1e6, 2),
       TextTable::Num(AdamWorkerFloats(q) / 1e6, 2),
       TextTable::Num(AdamColocatedMaxFloats(q) / 1e6, 2),
-      // Algorithm 1's comparison, against the PS row as actually sharded.
-      CommSchemeName(SfbWins(q) ? CommScheme::kSFB : CommScheme::kPS),
+      // Algorithm 1's row comparison, against the PS row as actually sharded.
+      PlannedSchemeName(SfbWorkerFloats(q) <= PsShardedColocatedFloats(q) ? PlannedScheme::kSFB
+                                                                           : PlannedScheme::kPS),
   });
 }
 

@@ -15,6 +15,7 @@
 #include "src/common/units.h"
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 
 int main(int argc, char** argv) {
   using namespace poseidon;
@@ -37,11 +38,14 @@ int main(int argc, char** argv) {
   std::printf("Cluster: %d nodes (colocated worker + KV shard), %.0f GbE, batch %d/node\n\n",
               nodes, gbps, batch);
 
+  // HybComm's decisions: the planner's paper mode under Algorithm 1.
+  const CommPlan plan = PlanComm(PaperRequest(model, nodes, batch, PlanPolicy::kHybrid));
   TextTable table({"layer", "type", "params", "PS both (MB)", "SFB (MB)", "chosen"});
   double ps_total = 0.0;
   double chosen_total = 0.0;
-  for (const LayerSpec& layer : model.layers) {
-    const CommScheme scheme = BestScheme(layer, batch, nodes, nodes);
+  for (size_t l = 0; l < model.layers.size(); ++l) {
+    const LayerSpec& layer = model.layers[l];
+    const PlannedScheme scheme = plan.layers[l].scheme;
     double ps_mb = 0.0;
     double sfb_mb = 0.0;
     if (layer.type == LayerType::kFC && nodes > 1) {
@@ -53,10 +57,10 @@ int main(int argc, char** argv) {
       sfb_mb = ps_mb;  // not applicable; PS is used
     }
     ps_total += ps_mb;
-    chosen_total += scheme == CommScheme::kSFB ? sfb_mb : ps_mb;
+    chosen_total += scheme == PlannedScheme::kSFB ? sfb_mb : ps_mb;
     table.AddRow({layer.name, LayerTypeName(layer.type), std::to_string(layer.params),
                   TextTable::Num(ps_mb, 1), TextTable::Num(sfb_mb, 1),
-                  CommSchemeName(scheme)});
+                  PlannedSchemeName(scheme)});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Per-node traffic per iteration: pure PS %.0f MB -> HybComm %.0f MB (%.1fx less)\n\n",

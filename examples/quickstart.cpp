@@ -37,20 +37,21 @@ int main() {
   options.num_servers = 2;
   options.batch_per_worker = 16;
   options.sgd = {.learning_rate = 0.05f, .momentum = 0.9f};
-  options.fc_policy = FcSyncPolicy::kHybrid;  // Algorithm 1 per layer
+  options.fc_policy = PlanPolicy::kHybrid;  // Algorithm 1 per layer
 
   PoseidonTrainer trainer(factory, options);
 
-  // What did HybComm decide for each layer?
+  // What did HybComm decide for each layer? The trainer executes this plan.
   std::printf("Per-layer communication schemes (batch=%d, P=2):\n",
               options.batch_per_worker);
+  const CommPlan& plan = *trainer.plan();
   for (int l = 0; l < trainer.coordinator().num_layers(); ++l) {
     const LayerInfo& info = trainer.coordinator().layer(l);
     if (info.total_floats == 0) {
       continue;
     }
     std::printf("  %-8s %-5s -> %s\n", info.name.c_str(), LayerTypeName(info.type),
-                RuntimeSchemeName(trainer.schemes()[static_cast<size_t>(l)]));
+                PlannedSchemeName(plan.layers[static_cast<size_t>(l)].scheme));
   }
 
   // 4. Train (Algorithm 2 runs inside: forward, per-layer backward + sync

@@ -10,69 +10,20 @@
 
 #include "src/collective/topology.h"
 #include "src/common/logging.h"
+#include "src/planner/comm_planner.h"
+#include "src/planner/plan_cache.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 
 namespace poseidon {
 namespace {
 
-// Effective label for what a layer's synchronization does in a given system.
-enum class WireScheme { kPsDense, kSfb, kAdamSf, kOneBit, kRing, kTree };
-
-const char* WireSchemeName(WireScheme scheme) {
-  switch (scheme) {
-    case WireScheme::kPsDense:
-      return "PS";
-    case WireScheme::kSfb:
-      return "SFB";
-    case WireScheme::kAdamSf:
-      return "SF->PS";
-    case WireScheme::kOneBit:
-      return "1bit";
-    case WireScheme::kRing:
-      return "Ring";
-    case WireScheme::kTree:
-      return "Tree";
-  }
-  return "?";
-}
-
-WireScheme WireFromCommScheme(CommScheme scheme) {
-  switch (scheme) {
-    case CommScheme::kPS:
-      return WireScheme::kPsDense;
-    case CommScheme::kSFB:
-      return WireScheme::kSfb;
-    case CommScheme::kRing:
-      return WireScheme::kRing;
-    case CommScheme::kTree:
-      return WireScheme::kTree;
-  }
-  return WireScheme::kPsDense;
-}
-
-WireScheme WireFromPlannedScheme(PlannedScheme scheme) {
-  switch (scheme) {
-    case PlannedScheme::kNone:
-    case PlannedScheme::kPS:
-      return WireScheme::kPsDense;
-    case PlannedScheme::kSFB:
-      return WireScheme::kSfb;
-    case PlannedScheme::kOneBit:
-      return WireScheme::kOneBit;
-    case PlannedScheme::kRing:
-      return WireScheme::kRing;
-    case PlannedScheme::kTree:
-      return WireScheme::kTree;
-  }
-  return WireScheme::kPsDense;
-}
-
 // Static per-layer wire plan, precomputed before the simulation starts
 // (HybComm's point: the model and cluster are known upfront, so the best
-// scheme is decidable before any byte moves).
+// scheme is decidable before any byte moves). Never kNone: a layer with
+// nothing to synchronize is priced as the raw dense PS.
 struct LayerWire {
-  WireScheme scheme = WireScheme::kPsDense;
+  PlannedScheme scheme = PlannedScheme::kPS;
   // Wire codec of the dense-PS path (docs/COMPRESSION.md): rescales
   // push/pull bytes by the per-direction byte rows and charges the encode /
   // decode CPU passes through quant_cpu_s, like the 1-bit row.
@@ -135,6 +86,17 @@ class ProtocolSim {
   void BuildWirePlan() {
     wires_.resize(num_layers_);
     const int p = num_nodes_;
+    // The system's policy and codec decide nothing here: they form a
+    // paper-mode request, and the memoized plan says what each layer moves.
+    // One node has no peers, so every layer then runs the raw dense PS.
+    std::shared_ptr<const CommPlan> paper_plan;
+    if (p > 1) {
+      PlanRequest request = PaperRequest(model_, p, batch_, system_.policy, system_.codec,
+                                         system_.shards_per_server);
+      request.topk_density = system_.topk_density;
+      request.compression_min_floats = system_.compression_min_floats;
+      paper_plan = PlanCache::Global().GetOrPlan(request);
+    }
     for (int l = 0; l < num_layers_; ++l) {
       const LayerSpec& layer = model_.layers[l];
       LayerWire& wire = wires_[l];
@@ -143,86 +105,18 @@ class ProtocolSim {
       wire.apply_cpu_s =
           2.0 * static_cast<double>(layer.params) / p / cluster_.cpu_flops;
 
-      // Pick the scheme for this layer under the configured system. The
-      // collective modes apply to every parameter layer; the paper's FC
-      // schemes only to FC layers.
-      wire.scheme = WireScheme::kPsDense;
+      // The CommPlanner's assignment, overlaid by the system's own plan
+      // where it names the layer; this simulator only prices it.
       GradCompression compression = GradCompression::kNone;
-      // A CommPlan overrides the policy switches: the planner already made
-      // the per-layer call, this simulator just prices it. Layers the plan
-      // does not name (or marks stateless) fall through to the policies.
-      bool planned = false;
-      if (system_.plan != nullptr) {
-        const PlanLayerChoice* choice = system_.plan->Find(layer.name);
-        if (choice != nullptr && choice->scheme != PlannedScheme::kNone) {
-          planned = true;
-          if (p > 1) {
-            wire.scheme = WireFromPlannedScheme(choice->scheme);
-            compression = choice->compression;
-          }
-          // p == 1 degenerates to the raw dense PS, like the runtime.
+      if (paper_plan != nullptr) {
+        const PlanLayerChoice* choice =
+            system_.plan != nullptr ? system_.plan->Find(layer.name) : nullptr;
+        if (choice == nullptr || choice->scheme == PlannedScheme::kNone) {
+          choice = &paper_plan->layers[l];
         }
-      }
-      if (!planned && p > 1) {
-        switch (system_.fc_scheme) {
-          case FcScheme::kRing:
-            wire.scheme = WireScheme::kRing;
-            break;
-          case FcScheme::kTree:
-            wire.scheme = WireScheme::kTree;
-            break;
-          case FcScheme::kHybridCollective:
-            if (system_.auto_ps_compression) {
-              // Compression joins the scheme menu: the chooser minimizes
-              // wire bytes over (PS, codec) and the raw-float alternatives.
-              const SchemeChoice choice = BestSchemeExtendedCompressed(
-                  layer, batch_, p, p, system_.shards_per_server,
-                  system_.topk_density);
-              wire.scheme = WireFromCommScheme(choice.scheme);
-              compression = choice.compression;
-            } else {
-              wire.scheme = WireFromCommScheme(BestSchemeExtended(
-                  layer, batch_, p, p, system_.shards_per_server));
-            }
-            break;
-          case FcScheme::kDense:
-            break;
-          case FcScheme::kSfb:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kSfb;
-            }
-            break;
-          case FcScheme::kAdam:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kAdamSf;
-            }
-            break;
-          case FcScheme::kOneBit:
-            if (layer.type == LayerType::kFC) {
-              wire.scheme = WireScheme::kOneBit;
-            }
-            break;
-          case FcScheme::kHybrid:
-            if (layer.type == LayerType::kFC &&
-                BestScheme(layer, batch_, p, p) == CommScheme::kSFB) {
-              wire.scheme = WireScheme::kSfb;
-            }
-            break;
-        }
-      }
-
-      // Fixed-policy compression of the dense-PS path (mirrors the runtime's
-      // ResolveCompression): every PS layer clearing the size gate runs the
-      // configured codec, or its per-layer BestCompression pick under auto.
-      // The hybrid-collective chooser above resolved it jointly with the
-      // scheme instead.
-      if (!planned && p > 1 && wire.scheme == WireScheme::kPsDense &&
-          system_.fc_scheme != FcScheme::kHybridCollective) {
-        if (system_.auto_ps_compression) {
-          compression = BestCompression(layer.params, system_.topk_density,
-                                        system_.compression_min_floats);
-        } else if (layer.params >= system_.compression_min_floats) {
-          compression = system_.ps_compression;
+        if (choice->scheme != PlannedScheme::kNone) {
+          wire.scheme = choice->scheme;
+          compression = choice->compression;
         }
       }
 
@@ -230,7 +124,8 @@ class ProtocolSim {
       const int64_t n = layer.fc_n;
       const int64_t k_eff = static_cast<int64_t>(batch_) * cluster_.gpus_per_node;
       switch (wire.scheme) {
-        case WireScheme::kPsDense: {
+        case PlannedScheme::kNone:  // never assigned (see LayerWire)
+        case PlannedScheme::kPS: {
           wire.sharded = system_.sharding == ShardingMode::kKvPairs;
           wire.compression = compression;
           // Per-direction byte rows (docs/COST_MODEL.md): the raw fp32 base
@@ -255,19 +150,19 @@ class ProtocolSim {
           }
           break;
         }
-        case WireScheme::kSfb:
+        case PlannedScheme::kSFB:
           wire.sf_msg_bytes = static_cast<double>(k_eff) * static_cast<double>(m + n) * 4.0;
           wire.recon_flops_per_sf = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                                     static_cast<double>(k_eff);
           break;
-        case WireScheme::kAdamSf:
+        case PlannedScheme::kAdamSf:
           wire.sharded = false;
           wire.sf_msg_bytes = static_cast<double>(k_eff) * static_cast<double>(m + n) * 4.0;
           wire.recon_flops_per_sf = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                                     static_cast<double>(k_eff);
           wire.pull_bytes = wire.dense_bytes;
           break;
-        case WireScheme::kOneBit: {
+        case PlannedScheme::kOneBit: {
           // 1 bit per element plus two fp32 levels per column.
           const double compressed =
               static_cast<double>(m) * static_cast<double>(n) / 8.0 +
@@ -282,7 +177,7 @@ class ProtocolSim {
               2.0 * static_cast<double>(m) * static_cast<double>(n) / cluster_.cpu_flops;
           break;
         }
-        case WireScheme::kRing:
+        case PlannedScheme::kRing:
           // One ring hop moves a 1/p chunk; each of the p-1 reduce-scatter
           // receives folds one chunk on the CPU, and the final averaged
           // gradient is applied locally on every node (replicated updates).
@@ -291,7 +186,7 @@ class ProtocolSim {
               static_cast<double>(layer.params) / p / cluster_.cpu_flops;
           wire.local_apply_s = 2.0 * static_cast<double>(layer.params) / cluster_.cpu_flops;
           break;
-        case WireScheme::kTree:
+        case PlannedScheme::kTree:
           // Reduce and broadcast messages both carry the dense tensor; each
           // child contribution is one full-tensor add at its parent.
           wire.push_bytes = wire.dense_bytes;
@@ -500,8 +395,8 @@ class ProtocolSim {
       // TensorFlow issues parameter fetches only at the iteration boundary:
       // send pull requests for every layer now.
       for (int l = 0; l < num_layers_; ++l) {
-        if (wires_[l].scheme != WireScheme::kPsDense &&
-            wires_[l].scheme != WireScheme::kOneBit) {
+        if (wires_[l].scheme != PlannedScheme::kPS &&
+            wires_[l].scheme != PlannedScheme::kOneBit) {
           continue;
         }
         SendPullRequests(n, l, iter);
@@ -513,13 +408,14 @@ class ProtocolSim {
   // ------------------------------------------------------- sync pipelines --
   double DeviceCopyBytes(const LayerWire& wire) const {
     switch (wire.scheme) {
-      case WireScheme::kPsDense:
-      case WireScheme::kOneBit:
-      case WireScheme::kRing:
-      case WireScheme::kTree:
+      case PlannedScheme::kNone:  // never assigned (see LayerWire)
+      case PlannedScheme::kPS:
+      case PlannedScheme::kOneBit:
+      case PlannedScheme::kRing:
+      case PlannedScheme::kTree:
         return wire.dense_bytes;
-      case WireScheme::kSfb:
-      case WireScheme::kAdamSf:
+      case PlannedScheme::kSFB:
+      case PlannedScheme::kAdamSf:
         return wire.sf_msg_bytes;
     }
     return 0.0;
@@ -631,8 +527,9 @@ class ProtocolSim {
   void StartSend(int n, int layer, int iter) {
     const LayerWire& wire = wires_[layer];
     switch (wire.scheme) {
-      case WireScheme::kPsDense:
-      case WireScheme::kOneBit:
+      case PlannedScheme::kNone:  // never assigned (see LayerWire)
+      case PlannedScheme::kPS:
+      case PlannedScheme::kOneBit:
         if (wire.sharded) {
           for (int s = 0; s < num_nodes_; ++s) {
             WireSend(n, s, wire.push_bytes, iter,
@@ -645,7 +542,7 @@ class ProtocolSim {
                    });
         }
         break;
-      case WireScheme::kSfb:
+      case PlannedScheme::kSFB:
         for (int peer = 0; peer < num_nodes_; ++peer) {
           if (peer == n) {
             OnSfArrived(peer, layer, iter, /*local=*/true);
@@ -656,13 +553,13 @@ class ProtocolSim {
           });
         }
         break;
-      case WireScheme::kAdamSf:
+      case PlannedScheme::kAdamSf:
         WireSend(n, wire.owner, wire.sf_msg_bytes, iter,
                  [this, layer, iter, owner = wire.owner] {
                    OnPushArrived(layer, iter, owner);
                  });
         break;
-      case WireScheme::kRing: {
+      case PlannedScheme::kRing: {
         // The node's staged gradient exists now: join the ring by sending
         // hop 0 downstream, then drain any hops that arrived early.
         LayerSyncState& state = sync_[iter][layer];
@@ -676,7 +573,7 @@ class ProtocolSim {
         DrainRingHops(layer, iter, n);
         break;
       }
-      case WireScheme::kTree: {
+      case PlannedScheme::kTree: {
         LayerSyncState& state = sync_[iter][layer];
         state.collective_started[n] = true;
         MaybeTreeReduceDone(layer, iter, n);
@@ -804,7 +701,7 @@ class ProtocolSim {
       // whole-layer passes the unsharded 1-bit row charges.
       apply_s += wire.quant_cpu_s * 2.0;
     }
-    if (wire.scheme == WireScheme::kAdamSf) {
+    if (wire.scheme == PlannedScheme::kAdamSf) {
       // Reconstruct P workers' SF outer products on the server.
       apply_s += num_nodes_ * wire.recon_flops_per_sf / cluster_.recon_flops;
     }
@@ -1001,7 +898,7 @@ class ProtocolSim {
     for (int l = 0; l < num_layers_; ++l) {
       // Compressed PS layers report as e.g. "PS+int8" so plan assertions and
       // bench tables can see the codec choice alongside the scheme.
-      std::string scheme = WireSchemeName(wires_[l].scheme);
+      std::string scheme = PlannedSchemeName(wires_[l].scheme);
       if (wires_[l].compression != GradCompression::kNone) {
         scheme += std::string("+") + GradCompressionName(wires_[l].compression);
       }

@@ -9,7 +9,7 @@ SystemConfig CaffePlusPs() {
   config.name = "Caffe+PS";
   config.overlap = OverlapMode::kNone;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
+  config.policy = PlanPolicy::kDense;
   config.blocking_memcpy = true;
   return config;
 }
@@ -19,7 +19,7 @@ SystemConfig CaffePlusWfbp() {
   config.name = "Caffe+WFBP";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
+  config.policy = PlanPolicy::kDense;
   return config;
 }
 
@@ -28,7 +28,7 @@ SystemConfig PoseidonSystem() {
   config.name = "Poseidon";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kHybrid;
+  config.policy = PlanPolicy::kHybrid;
   return config;
 }
 
@@ -37,7 +37,7 @@ SystemConfig TfNative() {
   config.name = "TF";
   config.overlap = OverlapMode::kTfFetch;
   config.sharding = ShardingMode::kPerTensor;
-  config.fc_scheme = FcScheme::kDense;
+  config.policy = PlanPolicy::kDense;
   config.transport_efficiency = 0.3;  // gRPC goodput, r0.10 era
   return config;
 }
@@ -47,7 +47,7 @@ SystemConfig TfPlusWfbp() {
   config.name = "TF+WFBP";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kDense;
+  config.policy = PlanPolicy::kDense;
   return config;
 }
 
@@ -56,7 +56,7 @@ SystemConfig AdamSystem() {
   config.name = "Adam";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kAdam;
+  config.policy = PlanPolicy::kAdam;
   return config;
 }
 
@@ -65,7 +65,7 @@ SystemConfig OneBitSystem() {
   config.name = "CNTK-1bit";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kOneBit;
+  config.policy = PlanPolicy::kOneBit;
   return config;
 }
 
@@ -74,7 +74,7 @@ SystemConfig SfbOnlySystem() {
   config.name = "SFB";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kSfb;
+  config.policy = PlanPolicy::kSfb;
   return config;
 }
 
@@ -83,7 +83,7 @@ SystemConfig RingAllreduceSystem() {
   config.name = "Ring";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kRing;
+  config.policy = PlanPolicy::kRingAllreduce;
   return config;
 }
 
@@ -92,7 +92,7 @@ SystemConfig TreeAllreduceSystem() {
   config.name = "Tree";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kTree;
+  config.policy = PlanPolicy::kTreeAllreduce;
   return config;
 }
 
@@ -101,7 +101,7 @@ SystemConfig HybridCollectiveSystem() {
   config.name = "Poseidon++";
   config.overlap = OverlapMode::kWfbp;
   config.sharding = ShardingMode::kKvPairs;
-  config.fc_scheme = FcScheme::kHybridCollective;
+  config.policy = PlanPolicy::kHybridCollective;
   return config;
 }
 
@@ -123,13 +123,10 @@ SystemConfig SspPoseidonSystem(int staleness, int shards) {
   return config;
 }
 
-SystemConfig CompressedPsSystem(GradCompression compression, double topk_density,
-                                bool auto_per_layer) {
+SystemConfig CompressedPsSystem(PlanCodecPolicy codec, double topk_density) {
   SystemConfig config = CaffePlusWfbp();
-  config.name = std::string("PS-") +
-                (auto_per_layer ? "auto" : GradCompressionName(compression));
-  config.ps_compression = compression;
-  config.auto_ps_compression = auto_per_layer;
+  config.name = std::string("PS-") + PlanCodecPolicyName(codec);
+  config.codec = codec;
   config.topk_density = topk_density;
   return config;
 }

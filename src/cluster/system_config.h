@@ -4,9 +4,11 @@
 //                  (§3.1: none / WFBP / TF's fetch-at-iteration-start),
 //   * sharding   — how parameters map to PS shards (Poseidon's 2 MB KV pairs
 //                  vs TensorFlow's one-server-per-tensor),
-//   * scheme     — what bytes move for FC layers (dense PS, SFB, Adam's
-//                  SF-push + matrix-pull, CNTK's 1-bit quantization,
-//                  or HybComm's per-layer best choice).
+//   * scheme     — what bytes move per layer: a PlanPolicy + PlanCodecPolicy
+//                  pair (dense PS, SFB, Adam's SF-push + matrix-pull, CNTK's
+//                  1-bit quantization, HybComm's per-layer best choice, the
+//                  collectives, compressed PS) that the CommPlanner's paper
+//                  mode turns into per-layer assignments.
 #ifndef POSEIDON_SRC_CLUSTER_SYSTEM_CONFIG_H_
 #define POSEIDON_SRC_CLUSTER_SYSTEM_CONFIG_H_
 
@@ -16,6 +18,7 @@
 
 #include "src/models/comm_cost.h"
 #include "src/planner/comm_plan.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 
@@ -30,25 +33,18 @@ enum class ShardingMode {
   kPerTensor,  // each layer owned by one server (TensorFlow's partitioning)
 };
 
-enum class FcScheme {
-  kDense,    // full gradient matrices through the PS
-  kSfb,      // sufficient factor broadcasting among peers
-  kAdam,     // SFs pushed to the owning server, dense matrices pulled back
-  kOneBit,   // 1-bit quantized gradients through the PS
-  kHybrid,   // per-layer BestScheme choice between kDense and kSfb
-  // Collective extensions: unlike the FC-only schemes above, these apply to
-  // every parameter layer (conv included) — allreduce needs no gradient
-  // factorization.
-  kRing,              // ring allreduce for all layers
-  kTree,              // binary-tree reduce-broadcast for all layers
-  kHybridCollective,  // three-way BestSchemeExtended per layer
-};
-
 struct SystemConfig {
   std::string name;
   OverlapMode overlap = OverlapMode::kWfbp;
   ShardingMode sharding = ShardingMode::kKvPairs;
-  FcScheme fc_scheme = FcScheme::kDense;
+  // What each layer moves: the scheme policy and PS codec policy of a
+  // paper-mode plan request over the simulated cluster (the simulator never
+  // decides; it prices the plan). A fixed codec applies to every PS layer
+  // clearing `compression_min_floats`; kAuto picks per layer by the byte
+  // rows. Compressed pushes also charge the encoder's CPU pass (same aux
+  // engine as the 1-bit row). See docs/COMPRESSION.md.
+  PlanPolicy policy = PlanPolicy::kDense;
+  PlanCodecPolicy codec = PlanCodecPolicy::kNone;
   // Vanilla-PS behaviour: DRAM<->GPU staging copies block the GPU instead of
   // running on the async copy engine (explains Caffe+PS's single-node
   // overhead, §5.1).
@@ -95,24 +91,13 @@ struct SystemConfig {
   // (SimResult::recovery_stall_s).
   double detect_timeout_s = 0.0;
   double restart_s = 0.0;
-  // ---- wire compression of the PS path (mirrors the runtime's
-  // TrainerOptions::ps_compression; see docs/COMPRESSION.md). A fixed codec
-  // rescales every dense-PS layer clearing `compression_min_floats` by the
-  // per-direction byte rows (PushBytesPerFloat / PullBytesPerFloat);
-  // `auto_ps_compression` instead resolves each layer through
-  // BestCompression — and, under kHybridCollective, routes the scheme choice
-  // through BestSchemeExtendedCompressed so compressed PS competes with SFB
-  // and the collectives on the byte basis. Quantized pushes also charge the
-  // encoder's CPU pass (same aux engine as the 1-bit row).
-  GradCompression ps_compression = GradCompression::kNone;
-  bool auto_ps_compression = false;
+  // ---- knobs of the codec policy above (mirror TrainerOptions).
   double topk_density = 0.01;
   int64_t compression_min_floats = kCompressionMinFloats;
-  // ---- CommPlanner integration. When set, per-layer schemes and codecs come
-  // from the plan's assignments (looked up by layer name) instead of the
-  // fc_scheme/compression policy switches above; shards/staleness/batching
-  // were copied from the plan by PlannedSystem(). Layers the plan does not
-  // name fall back to the policy switches.
+  // ---- An explicit CommPlan (PlannedSystem). Its assignments, looked up by
+  // layer name, override the policy/codec plan above; shards/staleness/
+  // batching were copied from it by PlannedSystem(). Layers it does not name
+  // keep the policy/codec plan's assignment.
   std::shared_ptr<const CommPlan> plan;
 };
 
@@ -133,11 +118,9 @@ SystemConfig HybridCollectiveSystem(); // Poseidon++ three-way HybComm
 SystemConfig ShardedPsSystem(int shards, int staleness = 0);
 // Poseidon (WFBP + HybComm) running under an SSP bound.
 SystemConfig SspPoseidonSystem(int staleness, int shards = 1);
-// Dense-PS WFBP with the PS path compressed by `compression` (kAuto per
-// layer when `auto_per_layer`); topk density as configured.
-SystemConfig CompressedPsSystem(GradCompression compression,
-                                double topk_density = 0.01,
-                                bool auto_per_layer = false);
+// Dense-PS WFBP with the PS path compressed under `codec` (kAuto: per layer
+// by the byte rows); topk density as configured.
+SystemConfig CompressedPsSystem(PlanCodecPolicy codec, double topk_density = 0.01);
 // WFBP system driven by a CommPlan: per-layer schemes/codecs from the plan's
 // assignments, shard count / staleness / egress batching / top-k density from
 // its global knobs. This is what `--plan=auto` and `--plan=fixed:<path>`

@@ -1,10 +1,11 @@
-// The HybComm communication cost model (paper Table 1 and Algorithm 1).
+// The HybComm communication cost rows (paper Table 1 plus the collective,
+// multi-shard and compressed-byte extensions).
 //
 // Costs are in *floats transferred per node per iteration* for synchronizing
 // one M x N fully-connected layer across P1 workers and P2 servers with
-// per-worker batch size K, exactly as the paper tabulates them. The selection
-// rule BestScheme picks SFB for an FC layer iff its peer-broadcast cost is no
-// larger than the colocated PS cost; everything else goes through the PS.
+// per-worker batch size K, exactly as the paper tabulates them. These are
+// rows only: the decisions Algorithm 1 and its extensions take over them live
+// in the CommPlanner (src/planner/comm_planner.cc), the one decider.
 #ifndef POSEIDON_SRC_MODELS_COMM_COST_H_
 #define POSEIDON_SRC_MODELS_COMM_COST_H_
 
@@ -14,14 +15,25 @@
 
 namespace poseidon {
 
-enum class CommScheme {
-  kPS,    // sharded parameter server (full matrices)
-  kSFB,   // peer-to-peer sufficient factor broadcasting
-  kRing,  // ring allreduce (chunked reduce-scatter + all-gather)
-  kTree,  // binary-tree reduce + broadcast
+/// The one scheme vocabulary: what a layer's synchronization moves on the
+/// wire. The CommPlanner assigns one per layer; the runtime, the protocol
+/// simulator and the benches all execute or price that assignment. The enum
+/// values are hashed into CommPlan::hash, so new schemes go at the end.
+enum class PlannedScheme {
+  kNone,    // stateless layer, nothing to synchronize
+  kPS,      // sharded parameter server (optionally compressed)
+  kSFB,     // sufficient factor broadcasting
+  kRing,    // ring allreduce
+  kTree,    // binary-tree reduce + broadcast
+  kOneBit,  // 1-bit quantized push to a single owner shard
+  /// Project Adam: sufficient factors pushed to the layer's owner server,
+  /// dense matrices pulled back. Simulator-only: the planner assigns it only
+  /// under the pinned PlanPolicy::kAdam and the runtime rejects it.
+  kAdamSf,
 };
 
-const char* CommSchemeName(CommScheme scheme);
+/// Label used in plan dumps and simulator reports ("PS", "SFB", "SF->PS").
+const char* PlannedSchemeName(PlannedScheme scheme);
 
 struct CommCostQuery {
   int64_t m = 0;        // FC output dimension
@@ -78,46 +90,16 @@ double PsShardedServerFloats(const CommCostQuery& q);
 // paper's colocated row with the served share spread over S endpoints.
 double PsShardedColocatedFloats(const CommCostQuery& q);
 
-// The shard count in [1, max_shards] the cost model recommends for an M x N
-// layer: the smallest S minimizing the sharded colocated row (the row is
-// monotone non-increasing in S for P1 > 2, so this saturates at max_shards
-// for communication-bound clusters and stays at 1 when sharding cannot help,
-// e.g. P1 <= 2).
-int BestPsShardCount(const CommCostQuery& q, int max_shards);
-
-// Algorithm 1: the scheme Poseidon's coordinator selects for `layer`.
-CommScheme BestScheme(const LayerSpec& layer, int64_t batch_k, int num_workers, int num_servers);
-
-// The three-way HybComm extension: minimizes the modeled per-node floats
-// over PS, SFB (FC layers only) and the collective rows. Conv layers, whose
-// gradients are indecomposable but dense, choose between PS and the
-// collectives. Candidates are considered in the order PS, SFB, ring, tree
-// and replaced only on strict improvement, so ties keep the paper's scheme.
-//
-// Note the deliberate basis mismatch: the paper's rows count sends plus
-// receives as published, while the collective rows follow the standard
-// allreduce convention of per-direction volume. The chooser therefore
-// credits collectives with the PS path's request/response round trip — a
-// bias toward collectives near crossovers (e.g. ring is preferred over a
-// colocated PS whose per-direction egress it merely matches). The
-// simulator, which moves actual bytes, is the arbiter where this margin
-// matters.
-// `ps_shards` (default 1: the paper's single-endpoint servers) costs the PS
-// candidate at that shard count via the sharded colocated row.
-CommScheme BestSchemeExtended(const LayerSpec& layer, int64_t batch_k, int num_workers,
-                              int num_servers, int ps_shards = 1);
-// Per-worker floats of `scheme` under `q` (the row the chooser compares);
-// PS uses the sharded colocated row at q.num_shards (which equals Algorithm
-// 1's colocated row at the default q.num_shards = 1).
-double SchemeWorkerFloats(CommScheme scheme, const CommCostQuery& q);
-
-// Convenience: would SFB win for an M x N FC layer under this query? The PS
-// side is costed at q.num_shards (the paper's Algorithm 1 at the default 1).
-bool SfbWins(const CommCostQuery& q);
+// Per-worker floats of `scheme` under `q`: the row the planner compares. PS
+// and 1-bit use the sharded colocated row at q.num_shards (Algorithm 1's
+// colocated row at the default q.num_shards = 1), Adam its colocated max row,
+// and conv layers enter as M = params, N = 1 (only M*N matters to the PS and
+// collective rows). kNone costs nothing.
+double SchemeWorkerFloats(PlannedScheme scheme, const CommCostQuery& q);
 
 // --- Table-1 extension: wire-byte rows for the compressed PS path. ---
 // The paper's rows count floats; the compressed codecs change the bytes each
-// float costs on the wire, so the compressed chooser works in bytes. Only
+// float costs on the wire, so the compressed planner works in bytes. Only
 // the PS path compresses (the collectives and SFB move raw floats: summing
 // quantized values loses the error-feedback invariant, and factors are
 // already small), so compression rescales the PS rows and leaves the rest at
@@ -147,36 +129,11 @@ double PushBytesPerFloat(GradCompression compression, double topk_density);
 double PullBytesPerFloat(GradCompression compression);
 
 // Per-worker wire bytes of (scheme, compression) under `q`: the float rows
-// rescaled by the per-direction byte costs. Non-PS schemes ignore
-// `compression` (raw floats, 4 bytes each).
-double SchemeWireBytes(CommScheme scheme, GradCompression compression,
+// rescaled by the per-direction byte costs. Only kPS uses `compression`;
+// kOneBit costs one bit per element each way; every other scheme moves raw
+// fp32 (4 bytes per float).
+double SchemeWireBytes(PlannedScheme scheme, GradCompression compression,
                        const CommCostQuery& q, double topk_density);
-
-// The cheapest compression for a PS layer of `layer_floats` elements by the
-// byte rows above: kNone below `min_floats` (kCompressionMinFloats unless a
-// test or bench lowers it), otherwise kTopK when density makes it cheapest,
-// else kInt8. What the runtime's "auto" policy resolves per layer.
-GradCompression BestCompression(int64_t layer_floats, double topk_density,
-                                int64_t min_floats = kCompressionMinFloats);
-
-// A (scheme, compression) decision with its modeled per-worker wire bytes.
-struct SchemeChoice {
-  CommScheme scheme = CommScheme::kPS;
-  GradCompression compression = GradCompression::kNone;
-  double bytes = 0.0;
-};
-
-// BestSchemeExtended on the byte basis with compression in the menu:
-// minimizes SchemeWireBytes over the PS candidate at every compression
-// (kNone always; the quantized/sparse rows once the layer clears
-// kCompressionMinFloats, kTopK only at positive density) and the SFB / ring
-// / tree candidates at raw floats. Candidate order keeps the uncompressed
-// PS row first and replaces only on strict improvement, so ties keep the
-// paper's scheme.
-SchemeChoice BestSchemeExtendedCompressed(const LayerSpec& layer, int64_t batch_k,
-                                          int num_workers, int num_servers,
-                                          int ps_shards = 1,
-                                          double topk_density = 0.01);
 
 }  // namespace poseidon
 

@@ -1,6 +1,6 @@
 // Architectural descriptors for the neural networks in the evaluation
-// (Table 3). A ModelSpec records, per layer, what Poseidon's coordinator
-// needs (layer type and FC shape, for HybComm's BestScheme) and what the
+// (Table 3). A ModelSpec records, per layer, what Poseidon's planner needs
+// (layer type and FC shape, for HybComm's per-layer decision) and what the
 // cluster simulator needs (parameter and FLOP counts, for wire bytes and
 // compute durations). Layers are ordered bottom (input side) to top (loss
 // side); the backward pass visits them top to bottom.

@@ -68,6 +68,7 @@ StatusOr<PlannedScheme> SchemeFromName(const std::string& name) {
   if (name == "Ring") return PlannedScheme::kRing;
   if (name == "Tree") return PlannedScheme::kTree;
   if (name == "1bit") return PlannedScheme::kOneBit;
+  if (name == "SF->PS") return PlannedScheme::kAdamSf;
   return InvalidArgumentError("unknown scheme '" + name + "'");
 }
 
@@ -142,24 +143,6 @@ class JsonScanner {
 };
 
 }  // namespace
-
-const char* PlannedSchemeName(PlannedScheme scheme) {
-  switch (scheme) {
-    case PlannedScheme::kNone:
-      return "none";
-    case PlannedScheme::kPS:
-      return "PS";
-    case PlannedScheme::kSFB:
-      return "SFB";
-    case PlannedScheme::kRing:
-      return "Ring";
-    case PlannedScheme::kTree:
-      return "Tree";
-    case PlannedScheme::kOneBit:
-      return "1bit";
-  }
-  return "?";
-}
 
 uint64_t CommPlan::ComputeHash() const {
   uint64_t h = kFnvOffset;

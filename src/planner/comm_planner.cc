@@ -32,12 +32,6 @@ uint64_t MixString(uint64_t h, const std::string& s) {
   return Mix(Mix(h, f), s.size());
 }
 
-uint64_t MixDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return Mix(h, bits);
-}
-
 // The cache-key digest runs on every PlanCache hit, so it is the whole cost
 // of a warm lookup (the planner_cache_speedup series gates it at >= 100x
 // under the cold search). A serial mix chain over every field is latency-
@@ -166,14 +160,6 @@ CommCostQuery QueryFor(const LayerSpec& layer, const PlanRequest& r, int shards)
   return q;
 }
 
-/// Approximate 1-bit PS row (per-worker wire bytes): 1 bit per element each
-/// direction. Reachable only under the pinned kOneBit policy — the quantized
-/// codecs superseded 1-bit, so it never enters the auto menu and the level
-/// words are not worth modeling.
-double OneBitWireBytes(const CommCostQuery& q) {
-  return PsShardedColocatedFloats(q) / 2.0 * (0.125 + 0.125);
-}
-
 /// Rough per-worker wire-message count for the framing/batching model (not
 /// part of the gated payload series; see docs/PLANNER.md).
 double MessagesFor(PlannedScheme scheme, const LayerSpec& layer, const PlanRequest& r,
@@ -189,6 +175,8 @@ double MessagesFor(PlannedScheme scheme, const LayerSpec& layer, const PlanReque
     }
     case PlannedScheme::kOneBit:
       return 2.0;  // whole-layer push + pull to/from the owner shard
+    case PlannedScheme::kAdamSf:
+      return 2.0;  // factors to the owner server + dense matrix back
     case PlannedScheme::kSFB:
       return static_cast<double>(std::max(0, r.num_workers - 1));
     case PlannedScheme::kRing:
@@ -242,41 +230,20 @@ CandidateCost EvalCandidate(PlannedScheme scheme, GradCompression codec,
   CandidateCost c;
   c.scheme = scheme;
   c.codec = codec;
-  const CommCostQuery q = QueryFor(layer, r, shards);
-  if (scheme == PlannedScheme::kOneBit) {
-    c.payload_bytes = OneBitWireBytes(q);
+  c.payload_bytes = SchemeWireBytes(scheme, codec, QueryFor(layer, r, shards), r.topk_density);
+  // The 1-bit row and compressed PS pushes run a codec pass over the layer.
+  if (scheme == PlannedScheme::kOneBit ||
+      (scheme == PlannedScheme::kPS && codec != GradCompression::kNone)) {
     c.encode_floats = static_cast<double>(layer.params);
-  } else {
-    CommScheme comm = CommScheme::kPS;
-    switch (scheme) {
-      case PlannedScheme::kPS:
-        comm = CommScheme::kPS;
-        break;
-      case PlannedScheme::kSFB:
-        comm = CommScheme::kSFB;
-        break;
-      case PlannedScheme::kRing:
-        comm = CommScheme::kRing;
-        break;
-      case PlannedScheme::kTree:
-        comm = CommScheme::kTree;
-        break;
-      default:
-        break;
-    }
-    c.payload_bytes = SchemeWireBytes(comm, codec, q, r.topk_density);
-    if (scheme == PlannedScheme::kPS && codec != GradCompression::kNone) {
-      c.encode_floats = static_cast<double>(layer.params);
-    }
   }
   c.msgs = MessagesFor(scheme, layer, r, shards);
   c.cost = Objective(c, basis);
   return c;
 }
 
-/// Wire codecs the PS candidate may use for `layer`, in the canonical menu
-/// order of BestSchemeExtendedCompressed (raw first; a fixed-codec policy is
-/// a mandate, so it yields the single eligible candidate).
+/// Wire codecs the PS candidate may use for `layer`, in canonical menu order
+/// (raw first; a fixed-codec policy is a mandate, so it yields the single
+/// eligible candidate).
 std::vector<GradCompression> PsCodecMenu(const LayerSpec& layer, const PlanRequest& r) {
   const bool eligible = layer.params >= r.compression_min_floats;
   switch (r.codec) {
@@ -352,6 +319,13 @@ LayerMenu MenuFor(const LayerSpec& layer, const PlanRequest& r) {
         menu.ps_codecs = PsCodecMenu(layer, r);
       }
       break;
+    case PlanPolicy::kAdam:
+      if (fc) {
+        menu.tail = {PlannedScheme::kAdamSf};
+      } else {
+        menu.ps_codecs = PsCodecMenu(layer, r);
+      }
+      break;
     case PlanPolicy::kRingAllreduce:
       menu.tail = {PlannedScheme::kRing};
       break;
@@ -403,72 +377,122 @@ CandidateCost BestForLayer(const LayerSpec& layer, const PlanRequest& r,
 
 // ------------------------------------------------------------- paper mode --
 
-/// The legacy per-layer scheme pass (ResolveSchemes semantics) at shard
-/// count `shards`: float-basis choosers, collective policies gated on
-/// multi-worker, conv layers pinned to the PS under the paper policies.
+/// Algorithm 1 line 7: SFB for an FC layer iff 2K(P1-1)(M+N) <= 2MN(P1+P2-2)/P2,
+/// costed at the paper's single-endpoint servers (ties go to SFB).
+bool SfbWins(const LayerSpec& layer, const PlanRequest& r) {
+  if (r.num_workers <= 1) {
+    return false;  // no peers to broadcast to
+  }
+  const CommCostQuery q = QueryFor(layer, r, /*shards=*/1);
+  return SfbWorkerFloats(q) <= PsShardedColocatedFloats(q);
+}
+
+/// The three-way HybComm extension (PS vs SFB vs ring/tree) at shard count
+/// `shards`: the raw-fp32 argmin of the joint search's per-layer fold. At 4
+/// bytes per float the byte rows are the float rows scaled by a power of two,
+/// so this orders candidates exactly as the float rows do; ties keep the
+/// earlier (paper-preferred) candidate.
+PlannedScheme ThreeWayScheme(const LayerSpec& layer, const PlanRequest& r, int shards) {
+  const CostBasis bytes;
+  LayerMenu menu;
+  menu.ps_codecs = {GradCompression::kNone};
+  if (layer.type == LayerType::kFC) {
+    menu.tail.push_back(PlannedScheme::kSFB);
+  }
+  menu.tail.push_back(PlannedScheme::kRing);
+  menu.tail.push_back(PlannedScheme::kTree);
+  std::vector<CandidateCost> tail;
+  for (PlannedScheme scheme : menu.tail) {
+    tail.push_back(EvalCandidate(scheme, GradCompression::kNone, layer, r, shards, bytes));
+  }
+  return BestForLayer(layer, r, menu, tail, shards, bytes).scheme;
+}
+
+/// The smallest shard count in [1, max_shards] minimizing the sharded
+/// colocated row for `layer` (the row is monotone non-increasing in S for
+/// P1 > 2, so this saturates at max_shards for communication-bound clusters
+/// and stays at 1 when sharding cannot help, e.g. P1 <= 2).
+int BestPsShardCount(const LayerSpec& layer, const PlanRequest& r, int max_shards) {
+  CommCostQuery q = QueryFor(layer, r, /*shards=*/1);
+  int best = 1;
+  double best_floats = PsShardedColocatedFloats(q);
+  for (int s = 2; s <= max_shards; ++s) {
+    q.num_shards = s;
+    const double floats = PsShardedColocatedFloats(q);
+    if (floats < best_floats) {  // strict: ties keep the smaller shard count
+      best = s;
+      best_floats = floats;
+    }
+  }
+  return best;
+}
+
+/// Paper mode's per-layer scheme pass at shard count `shards`: the policy's
+/// fixed assignment, Algorithm 1, or the three-way extension. The collective
+/// policies apply to every parameter layer and need peers; the FC-only
+/// policies leave conv layers on the PS.
 std::vector<PlannedScheme> PaperSchemes(const PlanRequest& r, int shards) {
   const bool multi = r.num_workers > 1;
+  const PlanPolicy policy =
+      r.policy == PlanPolicy::kAuto ? PlanPolicy::kHybridCollective : r.policy;
   std::vector<PlannedScheme> schemes;
   schemes.reserve(r.layers.size());
   for (const LayerSpec& layer : r.layers) {
+    PlannedScheme scheme = PlannedScheme::kPS;
     if (Stateless(layer)) {
-      schemes.push_back(PlannedScheme::kNone);
-      continue;
-    }
-    const PlanPolicy policy =
-        r.policy == PlanPolicy::kAuto ? PlanPolicy::kHybridCollective : r.policy;
-    if (policy == PlanPolicy::kRingAllreduce) {
-      schemes.push_back(multi ? PlannedScheme::kRing : PlannedScheme::kPS);
-      continue;
-    }
-    if (policy == PlanPolicy::kTreeAllreduce) {
-      schemes.push_back(multi ? PlannedScheme::kTree : PlannedScheme::kPS);
-      continue;
-    }
-    if (policy == PlanPolicy::kHybridCollective) {
-      switch (BestSchemeExtended(layer, r.batch_per_worker, r.num_workers, r.num_servers,
-                                 shards)) {
-        case CommScheme::kPS:
-          schemes.push_back(PlannedScheme::kPS);
+      scheme = PlannedScheme::kNone;
+    } else if (policy == PlanPolicy::kRingAllreduce) {
+      scheme = multi ? PlannedScheme::kRing : PlannedScheme::kPS;
+    } else if (policy == PlanPolicy::kTreeAllreduce) {
+      scheme = multi ? PlannedScheme::kTree : PlannedScheme::kPS;
+    } else if (policy == PlanPolicy::kHybridCollective) {
+      scheme = multi ? ThreeWayScheme(layer, r, shards) : PlannedScheme::kPS;
+    } else if (layer.type == LayerType::kFC) {
+      switch (policy) {
+        case PlanPolicy::kSfb:
+          scheme = PlannedScheme::kSFB;
           break;
-        case CommScheme::kSFB:
-          schemes.push_back(PlannedScheme::kSFB);
+        case PlanPolicy::kHybrid:
+          scheme = SfbWins(layer, r) ? PlannedScheme::kSFB : PlannedScheme::kPS;
           break;
-        case CommScheme::kRing:
-          schemes.push_back(PlannedScheme::kRing);
+        case PlanPolicy::kOneBit:
+          scheme = PlannedScheme::kOneBit;
           break;
-        case CommScheme::kTree:
-          schemes.push_back(PlannedScheme::kTree);
+        case PlanPolicy::kAdam:
+          scheme = PlannedScheme::kAdamSf;
+          break;
+        default:
           break;
       }
-      continue;
     }
-    if (layer.type != LayerType::kFC) {
-      schemes.push_back(PlannedScheme::kPS);
-      continue;
-    }
-    switch (policy) {
-      case PlanPolicy::kDense:
-        schemes.push_back(PlannedScheme::kPS);
-        break;
-      case PlanPolicy::kSfb:
-        schemes.push_back(PlannedScheme::kSFB);
-        break;
-      case PlanPolicy::kHybrid:
-        schemes.push_back(BestScheme(layer, r.batch_per_worker, r.num_workers,
-                                     r.num_servers) == CommScheme::kSFB
-                              ? PlannedScheme::kSFB
-                              : PlannedScheme::kPS);
-        break;
-      case PlanPolicy::kOneBit:
-        schemes.push_back(PlannedScheme::kOneBit);
-        break;
-      default:
-        schemes.push_back(PlannedScheme::kPS);
-        break;
-    }
+    schemes.push_back(scheme);
   }
   return schemes;
+}
+
+/// The cheapest PS codec for a layer of `layer_floats` elements by the
+/// per-float byte rows: raw below `min_floats`, otherwise the first of fp16,
+/// int8, top-k (at positive density) that strictly beats the best so far.
+GradCompression BestCompression(int64_t layer_floats, double topk_density,
+                                int64_t min_floats) {
+  if (layer_floats < min_floats) {
+    return GradCompression::kNone;
+  }
+  GradCompression best = GradCompression::kNone;
+  double best_bytes = PushBytesPerFloat(best, topk_density) + PullBytesPerFloat(best);
+  for (GradCompression candidate :
+       {GradCompression::kFp16, GradCompression::kInt8, GradCompression::kTopK}) {
+    if (candidate == GradCompression::kTopK && topk_density <= 0.0) {
+      continue;
+    }
+    const double bytes =
+        PushBytesPerFloat(candidate, topk_density) + PullBytesPerFloat(candidate);
+    if (bytes < best_bytes) {
+      best = candidate;
+      best_bytes = bytes;
+    }
+  }
+  return best;
 }
 
 GradCompression PaperCodec(const LayerSpec& layer, const PlanRequest& r) {
@@ -565,6 +589,8 @@ const char* PlanPolicyName(PlanPolicy policy) {
       return "tree";
     case PlanPolicy::kHybridCollective:
       return "hybrid-collective";
+    case PlanPolicy::kAdam:
+      return "adam";
   }
   return "?";
 }
@@ -588,7 +614,7 @@ const char* PlanCodecPolicyName(PlanCodecPolicy policy) {
 PlanKey PlanRequestKey(const PlanRequest& r) {
   // Word-count bound for the unchecked serializer: every string costs
   // 1 length word + ceil(size/8) payload words.
-  size_t bound = 32 + r.pinned_schemes.size();
+  size_t bound = 32;
   bound += 2 + r.model_name.size() / 8 + r.transport.size() / 8;
   for (const LayerSpec& layer : r.layers) {
     bound += 6 + layer.name.size() / 8;
@@ -619,10 +645,6 @@ PlanKey PlanRequestKey(const PlanRequest& r) {
   d.Put(static_cast<uint64_t>(r.max_staleness));
   d.Put((r.batch_egress ? 2ULL : 0ULL) | (r.allow_batching ? 1ULL : 0ULL));
   d.Put(static_cast<uint64_t>(r.batch_max_messages));
-  d.Put(r.pinned_schemes.size());
-  for (PlannedScheme scheme : r.pinned_schemes) {
-    d.Put(static_cast<uint64_t>(scheme));
-  }
   d.Put(static_cast<uint64_t>(r.policy));
   d.Put(static_cast<uint64_t>(r.codec));
   d.PutDouble(r.topk_density);
@@ -665,12 +687,6 @@ std::string PlanRequestSignature(const PlanRequest& r) {
   s += std::string("|batch=") + (r.batch_egress ? "1" : "0");
   s += std::string("|allowbatch=") + (r.allow_batching ? "1" : "0");
   s += "|bmax=" + std::to_string(r.batch_max_messages);
-  if (!r.pinned_schemes.empty()) {
-    s += "|pins=";
-    for (PlannedScheme scheme : r.pinned_schemes) {
-      s += std::to_string(static_cast<int>(scheme));
-    }
-  }
   s += std::string("|pol=") + PlanPolicyName(r.policy);
   s += std::string("|codec=") + PlanCodecPolicyName(r.codec);
   s += "|dens=" + Fmt(r.topk_density);
@@ -699,26 +715,21 @@ CommPlan PlanComm(const PlanRequest& r) {
 
   const size_t num_layers = r.layers.size();
   if (!r.joint) {
-    // Paper mode: the legacy sequential decisions, reproduced exactly.
-    const bool pinned_schemes = !r.pinned_schemes.empty();
-    if (pinned_schemes) {
-      CHECK_EQ(r.pinned_schemes.size(), num_layers);
-    }
+    // Paper mode: the sequential decisions — schemes at the evaluation shard
+    // count, then the shard count (the busiest PS layer sets it), then the
+    // schemes again at the chosen count, then each PS layer's codec.
     const int s0 = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : r.paper_eval_shards;
-    const std::vector<PlannedScheme> schemes0 =
-        pinned_schemes ? r.pinned_schemes : PaperSchemes(r, s0);
+    const std::vector<PlannedScheme> schemes0 = PaperSchemes(r, s0);
     int best_s = r.ps_shards_pinned > 0 ? r.ps_shards_pinned : 1;
     if (r.ps_shards_pinned == 0) {
       for (size_t l = 0; l < num_layers; ++l) {
-        if (schemes0[l] != PlannedScheme::kPS) {
-          continue;
+        if (schemes0[l] == PlannedScheme::kPS) {
+          best_s = std::max(best_s, BestPsShardCount(r.layers[l], r, r.max_shards));
         }
-        const CommCostQuery q = QueryFor(r.layers[l], r, 1);
-        best_s = std::max(best_s, BestPsShardCount(q, r.max_shards));
       }
     }
     const std::vector<PlannedScheme> schemes =
-        (pinned_schemes || best_s == s0) ? schemes0 : PaperSchemes(r, best_s);
+        best_s == s0 ? schemes0 : PaperSchemes(r, best_s);
     plan.ps_shards = best_s;
     for (size_t l = 0; l < num_layers; ++l) {
       const LayerSpec& layer = r.layers[l];
@@ -809,18 +820,24 @@ PlanRequest JointAutoRequest(const ModelSpec& model, int num_nodes, double nic_g
   return req;
 }
 
-PlanRequest PaperDefaultRequest(const ModelSpec& model, int num_nodes, double nic_gbps) {
+PlanRequest PaperRequest(const ModelSpec& model, int num_nodes, int batch_per_worker,
+                         PlanPolicy policy, PlanCodecPolicy codec, int shards) {
   PlanRequest req;
   req.model_name = model.name;
   req.layers = model.layers;
   req.num_workers = num_nodes;
   req.num_servers = num_nodes;
-  req.batch_per_worker = model.default_batch;
-  req.nic_gbps = nic_gbps;
-  req.ps_shards_pinned = 1;
-  req.policy = PlanPolicy::kHybrid;
-  req.codec = PlanCodecPolicy::kNone;
+  req.batch_per_worker = batch_per_worker;
+  req.ps_shards_pinned = shards;
+  req.policy = policy;
+  req.codec = codec;
   req.joint = false;
+  return req;
+}
+
+PlanRequest PaperDefaultRequest(const ModelSpec& model, int num_nodes, double nic_gbps) {
+  PlanRequest req = PaperRequest(model, num_nodes, model.default_batch, PlanPolicy::kHybrid);
+  req.nic_gbps = nic_gbps;
   return req;
 }
 

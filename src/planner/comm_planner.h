@@ -6,13 +6,12 @@
 ///
 /// Two search modes share one entry point (PlanComm):
 ///
-///  * paper mode (`joint = false`): reproduces the legacy sequential
-///    decisions bit for bit — per-layer scheme on the float basis
-///    (BestScheme / BestSchemeExtended), then the shard count
-///    (BestPsShardCount, max over PS layers), then the codec given the
-///    scheme (ResolveCompression semantics). The runtime's
-///    ResolveSchemesSharded / ResolveCompression are thin wrappers over
-///    this mode, so pre-planner trajectories are unchanged.
+///  * paper mode (`joint = false`): the paper's sequential decisions — the
+///    policy's per-layer scheme (Algorithm 1 for kHybrid, the three-way
+///    float-row argmin for kHybridCollective), then the shard count (the
+///    busiest PS layer's best, when not pinned), then the codec of each PS
+///    layer. The trainer's and ClusterNode's default configuration, every
+///    named simulator system and the cost-table benches run this mode.
 ///  * joint mode (`joint = true`): per-layer argmin over the full
 ///    (scheme, codec) menu at every candidate shard count, on the byte
 ///    basis (nic_gbps == 0) or the time basis (nic_gbps > 0, adding
@@ -37,10 +36,12 @@
 
 namespace poseidon {
 
-/// Scheme-policy constraint on the search (mirrors the runtime's
-/// FcSyncPolicy, redeclared here so the planner does not depend on
-/// src/poseidon; runtime_scheme.cc maps between the two). kAuto opens the
-/// full menu — what `--plan=auto` and the replanner use.
+/// Scheme-policy constraint on the search: the one policy vocabulary of the
+/// trainer (TrainerOptions::fc_policy), the simulator's named systems and
+/// the benches. kAuto opens the full menu — what `--plan=auto` and the
+/// replanner use. Under the paper's FC policies conv layers stay on the PS;
+/// the collective policies apply to every parameter layer. Stateless layers
+/// synchronize nothing either way.
 enum class PlanPolicy {
   kAuto,              // full menu: PS (x codecs), SFB, ring, tree
   kDense,             // PS for every parameter layer
@@ -49,13 +50,17 @@ enum class PlanPolicy {
   kOneBit,            // 1-bit PS for FC layers
   kRingAllreduce,     // ring for every parameter layer
   kTreeAllreduce,     // tree for every parameter layer
-  kHybridCollective,  // three-way BestSchemeExtended per layer
+  kHybridCollective,  // three-way PS vs SFB vs ring/tree per layer
+  kAdam,              // Project Adam's SF push for FC layers (simulator only)
 };
 
 const char* PlanPolicyName(PlanPolicy policy);
 
-/// Codec-policy constraint (mirrors PsCompressionPolicy): which wire codecs
-/// the PS candidates may use. kAuto opens all of them.
+/// Codec-policy constraint: which wire codecs the PS candidates may use. The
+/// fixed codecs apply to every PS layer clearing compression_min_floats
+/// (smaller layers stay raw, so a policy is a ceiling, not a mandate); kAuto
+/// lets the byte rows pick per layer. Quantized trajectories are
+/// deterministic but not bitwise equal to raw runs.
 enum class PlanCodecPolicy { kNone, kFp16, kInt8, kTopK, kAuto };
 
 const char* PlanCodecPolicyName(PlanCodecPolicy policy);
@@ -90,9 +95,8 @@ struct PlanRequest {
   /// Search ceiling for the shard dimension when not pinned.
   int max_shards = 1;
   /// Shard count the paper-mode scheme pass evaluates at when the shard
-  /// dimension is being searched (the legacy resolver costed schemes at the
-  /// coordinator's configured count before picking shards; keeping it in the
-  /// request keeps the wrapper bitwise-faithful).
+  /// dimension is being searched (schemes are costed here first, then
+  /// re-evaluated at the chosen count).
   int paper_eval_shards = 1;
   /// Baseline staleness (pinned in paper mode and on the byte basis).
   int staleness = 0;
@@ -107,11 +111,6 @@ struct PlanRequest {
   int batch_max_messages = 16;
 
   // --- policy constraints ---
-  /// Non-empty (paper mode only): per-layer schemes are pinned to these
-  /// (size must match `layers`) and the scheme pass is skipped. This is how
-  /// the ResolveCompression wrapper asks "codecs for *these* schemes" without
-  /// re-deriving them.
-  std::vector<PlannedScheme> pinned_schemes;
   PlanPolicy policy = PlanPolicy::kAuto;
   PlanCodecPolicy codec = PlanCodecPolicy::kNone;
   double topk_density = 0.01;
@@ -154,6 +153,14 @@ CommPlan PlanComm(const PlanRequest& request);
 PlanRequest JointAutoRequest(const ModelSpec& model, int num_nodes, double nic_gbps,
                              int max_shards, double topk_density = 0.01,
                              int64_t compression_min_floats = kCompressionMinFloats);
+
+/// Paper mode over a symmetric cluster (every node a worker + colocated
+/// server) with `shards` endpoints per server pinned: the decisions `policy`
+/// and `codec` make for `model`'s layers at `batch_per_worker`. What the
+/// simulator's named systems and the cost-table benches execute.
+PlanRequest PaperRequest(const ModelSpec& model, int num_nodes, int batch_per_worker,
+                         PlanPolicy policy, PlanCodecPolicy codec = PlanCodecPolicy::kNone,
+                         int shards = 1);
 
 /// The pre-planner hand-picked default for the same shape: paper mode,
 /// Algorithm-1 hybrid policy, one shard, raw fp32 — the baseline the

@@ -22,6 +22,9 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
          "loss shim (SocketTransportOptions::shim) for socket chaos";
   CHECK(!t.crash.active() && !t.failure_detection.enabled)
       << "crash/recovery plans are in-process-trainer features";
+  CHECK(!t.plan_feedback)
+      << "bandwidth-feedback re-planning swaps plans in process; a socket cluster "
+         "runs one plan";
   CHECK_GT(config_.iterations, 0);
   CHECK_EQ(config_.process, config_.transport.self);
 }
@@ -49,10 +52,15 @@ Status ClusterNode::Run() {
   cluster.batch_per_worker = t.batch_per_worker;
   cluster.kv_pair_bytes = t.kv_pair_bytes;
   coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  schemes_ = ResolveSchemes(*coordinator_, t.fc_policy);
+  plan_ = RuntimePlan(*coordinator_, t);
+  if (plan_->ps_shards != cluster.shards_per_server) {
+    cluster.shards_per_server = plan_->ps_shards;
+    coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
+  }
+  CheckRuntimePlan(*plan_, *coordinator_);
 
   bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (t.batch_egress) {
+  if (t.batch_egress || plan_->batch_egress) {
     bus_->EnableBatching(t.batch_options);
   }
   transport_ = std::make_shared<SocketTransport>(config_.transport);
@@ -77,12 +85,12 @@ Status ClusterNode::Run() {
   // beat its destination mailbox.
   for (int s : local_servers_) {
     servers_.push_back(std::make_unique<KvServer>(
-        s, /*first_iter=*/0, *coordinator_, schemes_, *init_net_, bus_.get(), t.sgd));
+        s, /*first_iter=*/0, *coordinator_, *plan_, *init_net_, bus_.get(), t.sgd));
   }
   for (int w : local_workers_) {
     worker_nets_.push_back(workloads::TinyMlpFactory(config_.hidden_layers)());
     clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_.back().get(), bus_.get(), t.sgd,
+        w, *coordinator_, *plan_, worker_nets_.back().get(), bus_.get(), t.sgd,
         t.syncer_threads));
   }
   for (auto& server : servers_) {

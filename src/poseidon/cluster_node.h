@@ -33,10 +33,11 @@ namespace poseidon {
 /// same command line by tools/poseidon_launch); only `process` and
 /// `transport.self` differ.
 struct ClusterNodeConfig {
-  /// Cluster shape + hyperparameters. Fault injection, crash plans and
-  /// failure detection are in-process-trainer features and must be off;
-  /// `shards_per_server` must be explicit (>= 1) — auto-sharding would
-  /// require every process to agree on the resolved count.
+  /// Cluster shape, hyperparameters and plan source (RuntimePlan, exactly
+  /// as the in-process trainer resolves it). Fault injection, crash plans,
+  /// failure detection and plan feedback are in-process-trainer features and
+  /// must be off; `shards_per_server` must be explicit (>= 1) — auto-sharding
+  /// would require every process to agree on the resolved count.
   TrainerOptions trainer;
   /// Hidden layers of the canonical TinyMlp workload (workloads.h).
   int hidden_layers = 2;
@@ -85,7 +86,7 @@ class ClusterNode {
   std::shared_ptr<SocketTransport> transport_;
   std::unique_ptr<ClusterControl> control_;
   std::unique_ptr<Coordinator> coordinator_;
-  std::vector<RuntimeScheme> schemes_;
+  std::shared_ptr<const CommPlan> plan_;  // RuntimePlan: the trainer's plan
 
   std::vector<int> local_workers_;               // worker ids hosted here
   std::vector<int> local_servers_;               // server ids hosted here

@@ -1,7 +1,10 @@
 /// \file
 /// The coordinator (paper §4.1): holds the "information book" — cluster
 /// configuration, model architecture, and the KV partition plan — and answers
-/// Query / BestScheme requests from client libraries and KV stores.
+/// Query requests from client libraries and KV stores. Table 2's scheme
+/// request is answered by the CommPlanner's paper mode
+/// (src/planner/comm_planner.h): the runtime executes the plan built from this
+/// information book.
 ///
 /// At construction it inspects the client program's network, flattens each
 /// layer's parameters, carves them into fixed-size KV pairs and hashes the
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/models/comm_cost.h"
 #include "src/models/model_spec.h"
 #include "src/nn/network.h"
 #include "src/transport/message.h"
@@ -99,16 +101,6 @@ class Coordinator {
   /// "n_worker", "n_server", "n_shard" (per server), "staleness",
   /// "batchsize", "n_layer", "kv_pair_bytes".
   StatusOr<int64_t> Query(const std::string& property) const;
-
-  /// Table 2 / Algorithm 1 "BestScheme": the communication method for layer
-  /// `l` given the current model and cluster shape.
-  CommScheme BestScheme(int l) const;
-  StatusOr<CommScheme> BestScheme(const std::string& layer_name) const;
-
-  /// The three-way HybComm extension: PS vs SFB vs ring/tree allreduce, by
-  /// minimum modeled per-node floats (see comm_cost.h BestSchemeExtended).
-  /// The PS candidate is costed at the cluster's configured shard count.
-  CommScheme BestSchemeExtended(int l) const;
 
   /// KV pairs of layer `l` owned by `server` (all of its shards).
   std::vector<KvPairInfo> PairsOnServer(int l, int server) const;

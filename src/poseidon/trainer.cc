@@ -61,49 +61,23 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   cluster.batch_per_worker = options_.batch_per_worker;
   cluster.kv_pair_bytes = options_.kv_pair_bytes;
   coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  switch (options_.plan_mode) {
-    case TrainerPlanMode::kPaper: {
-      if (options_.shards_per_server == 0) {
-        // Auto-sharding: let the multi-shard cost rows size the shard pool,
-        // then repartition the KV pairs over the chosen endpoint space.
-        const SyncPlan plan =
-            ResolveSchemesSharded(*coordinator_, options_.fc_policy, kMaxAutoShards);
-        cluster.shards_per_server = plan.ps_shards;
-        coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      }
-      schemes_ = ResolveSchemes(*coordinator_, options_.fc_policy);
-      compression_ = ResolveCompression(*coordinator_, schemes_,
-                                        options_.ps_compression, options_.topk_density,
-                                        options_.compression_min_floats);
-      // Record the equivalent plan so plan() always answers (the wrappers
-      // above went through the same paper-mode search, so this is a hit).
-      plan_ = PlanCache::Global().GetOrPlan(BuildPlanRequest());
-      break;
-    }
-    case TrainerPlanMode::kAuto:
-      plan_ = PlanCache::Global().GetOrPlan(BuildPlanRequest());
-      cluster.shards_per_server = plan_->ps_shards;
-      coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      ApplyPlanSchemes();
-      break;
-    case TrainerPlanMode::kFixed:
-      CHECK(options_.fixed_plan != nullptr) << "plan_mode = kFixed needs a fixed_plan";
-      plan_ = options_.fixed_plan;
-      cluster.shards_per_server = plan_->ps_shards;
-      coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-      ApplyPlanSchemes();
-      break;
+  plan_ = RuntimePlan(*coordinator_, options_);
+  if (plan_->ps_shards != cluster.shards_per_server) {
+    // The plan sized the shard pool (auto-sharding, or a fixed/auto plan's
+    // own count): repartition the KV pairs over that endpoint space.
+    cluster.shards_per_server = plan_->ps_shards;
+    coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
   }
+  ApplyPlanSchemes();
 
   for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, schemes_,
-                                                  *init_net_, bus_.get(), options_.sgd,
-                                                  compression_));
+    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
+                                                  *init_net_, bus_.get(), options_.sgd));
   }
   for (int w = 0; w < options_.num_workers; ++w) {
     clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-        options_.sgd, options_.syncer_threads, compression_, options_.topk_density));
+        w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
+        options_.sgd, options_.syncer_threads));
   }
   for (auto& server : servers_) {
     server->Start();
@@ -115,8 +89,8 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     CHECK(!options_.crash.active() && !options_.failure_detection.enabled)
         << "plan swaps and failure recovery cannot compose";
     bus_->EnableLinkStats();
-    replanner_ = std::make_unique<Replanner>(
-        BuildPlanRequest(), options_.replan_options, &PlanCache::Global());
+    replanner_ = std::make_unique<Replanner>(RuntimePlanRequest(*coordinator_, options_),
+                                             options_.replan_options, &PlanCache::Global());
   }
 
   if (options_.failure_detection.enabled) {
@@ -131,13 +105,12 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   }
 }
 
-PlanRequest PoseidonTrainer::BuildPlanRequest() const {
-  const ClusterInfo& cluster = coordinator_->cluster();
+PlanRequest RuntimePlanRequest(const Coordinator& coordinator, const TrainerOptions& options) {
   PlanRequest req;
-  req.model_name = options_.model_name;
-  req.layers.reserve(static_cast<size_t>(coordinator_->num_layers()));
-  for (int l = 0; l < coordinator_->num_layers(); ++l) {
-    const LayerInfo& info = coordinator_->layer(l);
+  req.model_name = options.model_name;
+  req.layers.reserve(static_cast<size_t>(coordinator.num_layers()));
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    const LayerInfo& info = coordinator.layer(l);
     LayerSpec spec;
     spec.name = info.name;
     spec.type = info.type;
@@ -146,51 +119,65 @@ PlanRequest PoseidonTrainer::BuildPlanRequest() const {
     spec.fc_n = info.fc_n;
     req.layers.push_back(std::move(spec));
   }
-  req.num_workers = options_.num_workers;
-  req.num_servers = options_.num_servers;
-  req.batch_per_worker = options_.batch_per_worker;
-  req.kv_pair_bytes = options_.kv_pair_bytes;
-  req.staleness = options_.staleness;
-  req.max_staleness = options_.staleness;
-  req.topk_density = options_.topk_density;
-  req.compression_min_floats = options_.compression_min_floats;
-  req.batch_max_messages = options_.batch_options.max_batch_messages;
-  if (options_.plan_mode == TrainerPlanMode::kAuto) {
+  req.num_workers = options.num_workers;
+  req.num_servers = options.num_servers;
+  req.batch_per_worker = options.batch_per_worker;
+  req.kv_pair_bytes = options.kv_pair_bytes;
+  req.staleness = options.staleness;
+  req.max_staleness = options.staleness;
+  req.topk_density = options.topk_density;
+  req.compression_min_floats = options.compression_min_floats;
+  req.batch_max_messages = options.batch_options.max_batch_messages;
+  req.batch_egress = options.batch_egress;
+  if (options.plan_mode == TrainerPlanMode::kAuto) {
     // Joint search over everything the options left open; a non-zero
     // shards_per_server stays a hard pin.
-    req.ps_shards_pinned = options_.shards_per_server;
+    req.ps_shards_pinned = options.shards_per_server;
     req.max_shards = kMaxAutoShards;
-    req.batch_egress = options_.batch_egress;
     req.allow_batching = true;
     req.policy = PlanPolicy::kAuto;
     req.codec = PlanCodecPolicy::kAuto;
     req.joint = true;
+  } else if (options.shards_per_server == 0) {
+    // Paper mode, auto-sharding: schemes are costed at one shard, the
+    // busiest PS layer sizes the pool, schemes are re-costed there.
+    req.max_shards = kMaxAutoShards;
+    req.policy = options.fc_policy;
+    req.codec = options.ps_compression;
   } else {
-    // Paper mode: express the resolved legacy decisions (the coordinator
-    // already carries the final shard count) as a plan.
-    req.ps_shards_pinned = std::max(1, cluster.shards_per_server);
-    req.paper_eval_shards = std::max(1, cluster.shards_per_server);
-    req.batch_egress = options_.batch_egress;
-    req.policy = PlanPolicyFromFcPolicy(options_.fc_policy);
-    req.codec = PlanCodecPolicyFromCompression(options_.ps_compression);
-    req.joint = false;
+    req.ps_shards_pinned = options.shards_per_server;
+    req.paper_eval_shards = options.shards_per_server;
+    req.policy = options.fc_policy;
+    req.codec = options.ps_compression;
   }
   return req;
 }
 
-void PoseidonTrainer::ApplyPlanSchemes() {
-  CHECK_EQ(plan_->layers.size(), static_cast<size_t>(coordinator_->num_layers()))
-      << "plan does not match the model (layer count)";
-  schemes_.clear();
-  compression_.clear();
-  for (int l = 0; l < coordinator_->num_layers(); ++l) {
-    const PlanLayerChoice& choice = plan_->layers[static_cast<size_t>(l)];
-    CHECK(choice.layer == coordinator_->layer(l).name)
-        << "plan layer " << l << " is '" << choice.layer << "', model has '"
-        << coordinator_->layer(l).name << "'";
-    schemes_.push_back(RuntimeSchemeFromPlanned(choice.scheme));
-    compression_.push_back(choice.compression);
+std::shared_ptr<const CommPlan> RuntimePlan(const Coordinator& coordinator,
+                                            const TrainerOptions& options) {
+  if (options.plan_mode == TrainerPlanMode::kFixed) {
+    CHECK(options.fixed_plan != nullptr) << "plan_mode = kFixed needs a fixed_plan";
+    return options.fixed_plan;
   }
+  return PlanCache::Global().GetOrPlan(RuntimePlanRequest(coordinator, options));
+}
+
+void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator) {
+  CHECK_EQ(plan.layers.size(), static_cast<size_t>(coordinator.num_layers()))
+      << "plan does not match the model (layer count)";
+  for (int l = 0; l < coordinator.num_layers(); ++l) {
+    const PlanLayerChoice& choice = plan.layers[static_cast<size_t>(l)];
+    CHECK(choice.layer == coordinator.layer(l).name)
+        << "plan layer " << l << " is '" << choice.layer << "', model has '"
+        << coordinator.layer(l).name << "'";
+    CHECK(choice.scheme != PlannedScheme::kAdamSf)
+        << "plan layer '" << choice.layer << "' uses " << PlannedSchemeName(choice.scheme)
+        << ", which only the simulator prices; the runtime cannot execute it";
+  }
+}
+
+void PoseidonTrainer::ApplyPlanSchemes() {
+  CheckRuntimePlan(*plan_, *coordinator_);
   if (plan_->batch_egress && !options_.batch_egress) {
     bus_->EnableBatching(options_.batch_options);
   }
@@ -207,8 +194,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   CHECK_EQ(new_plan->staleness, 0);
   CHECK(!options_.crash.active() && detector_ == nullptr)
       << "plan swaps and failure recovery cannot compose";
-  CHECK_EQ(new_plan->layers.size(), static_cast<size_t>(coordinator_->num_layers()))
-      << "plan does not match the model (layer count)";
+  CheckRuntimePlan(*new_plan, *coordinator_);
 
   // Quiesce the old communication stack. Workers are parked between Train()
   // windows, so nothing is in flight beyond the shards' run loops.
@@ -265,15 +251,13 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   ApplyPlanSchemes();
 
   for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, schemes_,
-                                                  *init_net_, bus_.get(), options_.sgd,
-                                                  compression_));
+    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
+                                                  *init_net_, bus_.get(), options_.sgd));
   }
   for (int w = 0; w < options_.num_workers; ++w) {
     clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(),
-        bus_.get(), options_.sgd, options_.syncer_threads, compression_,
-        options_.topk_density));
+        w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
+        options_.sgd, options_.syncer_threads));
   }
   for (auto& server : servers_) {
     server->Start();
@@ -438,8 +422,8 @@ void PoseidonTrainer::RecoverWorker(int w) {
   // 3. Re-register with the shards: a fresh client library recreates every
   // syncer mailbox at the same addresses (sequence streams just continue).
   clients_[static_cast<size_t>(w)] = std::make_unique<ClientLibrary>(
-      w, *coordinator_, schemes_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-      options_.sgd, options_.syncer_threads, compression_, options_.topk_density);
+      w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
+      options_.sgd, options_.syncer_threads);
 
   // 4. Rejoin the cluster and replay from the checkpoint cursor. The replay
   // re-pushes the in-flight clock; shard reconciliation applies each

@@ -29,12 +29,23 @@
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/failure_detector.h"
 #include "src/poseidon/kv_store.h"
-#include "src/poseidon/runtime_scheme.h"
 #include "src/planner/comm_plan.h"
+#include "src/planner/comm_planner.h"
 #include "src/planner/replanner.h"
 #include "src/transport/bus.h"
 
 namespace poseidon {
+
+/// Pre-planner spellings of the policy vocabulary. They exist only because the
+/// end-to-end benchmark driver (perfbench/driver.cc) names them and must build
+/// unchanged against every revision it compares; new code says PlanPolicy and
+/// PlanCodecPolicy.
+using FcSyncPolicy = PlanPolicy;
+using PsCompressionPolicy = PlanCodecPolicy;
+inline PlanPolicy PlanPolicyFromFcPolicy(FcSyncPolicy policy) { return policy; }
+inline PlanCodecPolicy PlanCodecPolicyFromCompression(PsCompressionPolicy policy) {
+  return policy;
+}
 
 /// Builds one network replica. Called once per worker plus once for server
 /// initialization; must be deterministic so all replicas start identical.
@@ -57,9 +68,8 @@ struct CrashPlan {
 
 /// How the trainer picks its communication configuration.
 enum class TrainerPlanMode {
-  /// The paper's sequential decisions (fc_policy + ps_compression +
-  /// shards_per_server), resolved through the planner's paper mode — bitwise
-  /// identical to the pre-planner trainer.
+  /// The paper's sequential decisions: the planner's paper mode over
+  /// fc_policy, ps_compression and shards_per_server.
   kPaper,
   /// Joint CommPlanner search over scheme x shards x codec x batching; the
   /// resulting plan supersedes fc_policy / ps_compression / shards_per_server
@@ -78,8 +88,8 @@ struct TrainerOptions {
   /// Trajectory-invariant — node ids never enter the math.
   int server_node_base = 0;
   /// Key-range KV shards hosted per server node, each with its own mailbox
-  /// and apply thread. 0 = auto: let the multi-shard cost rows pick (up to
-  /// kMaxAutoShards) from the model's largest PS layer.
+  /// and apply thread. 0 = auto: the plan picks the count (up to
+  /// kMaxAutoShards) from the model's busiest PS layer.
   int shards_per_server = 1;
   /// SSP staleness bound: workers may run up to this many iterations ahead
   /// of the slowest worker's applied updates. 0 = the paper's BSP (bitwise
@@ -89,16 +99,17 @@ struct TrainerOptions {
   int staleness = 0;
   int batch_per_worker = 16;
   SgdConfig sgd;
-  FcSyncPolicy fc_policy = FcSyncPolicy::kHybrid;
-  /// Wire compression for PS-path layers (ResolveCompression): raw fp32 by
-  /// default; fp16/int8/top-k push with error feedback, binary16 replies.
-  /// Quantized trajectories are deterministic (seeded per layer x clock) but
-  /// not bitwise equal to kNone runs.
-  PsCompressionPolicy ps_compression = PsCompressionPolicy::kNone;
+  /// Scheme policy of paper mode (kAdam is simulator-only and rejected).
+  PlanPolicy fc_policy = PlanPolicy::kHybrid;
+  /// Wire codec policy for PS-path layers in paper mode: raw fp32 by default;
+  /// fp16/int8/top-k push with error feedback, binary16 replies. Quantized
+  /// trajectories are deterministic (seeded per layer x clock) but not
+  /// bitwise equal to kNone runs.
+  PlanCodecPolicy ps_compression = PlanCodecPolicy::kNone;
   /// Fraction of each pair's elements the top-k codec keeps, in (0, 1].
   double topk_density = 0.01;
   /// Layers below this many floats stay raw under any compression policy
-  /// (tests and benches with tiny models lower it; see ResolveCompression).
+  /// (tests and benches with tiny models lower it).
   int64_t compression_min_floats = kCompressionMinFloats;
   int64_t kv_pair_bytes = 2 * 1024 * 1024;
   int syncer_threads = 2;     // client-library pool size per worker
@@ -132,8 +143,7 @@ struct TrainerOptions {
   /// Test-injected crash (requires failure_detection.enabled and recovery
   /// checkpoints, or training will hang waiting for the dead worker).
   CrashPlan crash;
-  /// Communication-plan source (see TrainerPlanMode). kPaper routes through
-  /// the planner's paper mode and stays bitwise identical to the legacy flow.
+  /// Communication-plan source (see TrainerPlanMode).
   TrainerPlanMode plan_mode = TrainerPlanMode::kPaper;
   /// The plan to adopt when plan_mode = kFixed (layer names must match the
   /// model; shards/staleness/batching come from the plan).
@@ -152,6 +162,25 @@ struct TrainerOptions {
 
 /// Upper bound for shards_per_server = 0 (auto) selection.
 inline constexpr int kMaxAutoShards = 8;
+
+/// The PlanRequest `options` asks for over `coordinator`'s model. kPaper:
+/// paper mode over fc_policy / ps_compression, with shards_per_server pinned
+/// (0 searches the count up to kMaxAutoShards). kAuto: the joint search, a
+/// non-zero shards_per_server staying pinned. Only the coordinator's layer
+/// table enters, not its shard count.
+PlanRequest RuntimePlanRequest(const Coordinator& coordinator, const TrainerOptions& options);
+
+/// The plan a runtime built from `options` executes: options.fixed_plan
+/// under kFixed, otherwise RuntimePlanRequest fetched from PlanCache::Global().
+/// The in-process trainer and every multi-process ClusterNode call this, so
+/// both execute the same plan. Build the coordinator at plan->ps_shards.
+std::shared_ptr<const CommPlan> RuntimePlan(const Coordinator& coordinator,
+                                            const TrainerOptions& options);
+
+/// CHECK-fails unless `plan` assigns every layer of `coordinator`'s model, in
+/// order, a scheme the runtime executes; a simulator-only scheme (Adam's SF
+/// push) dies naming the layer.
+void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator);
 
 struct IterationStats {
   int64_t iter = 0;
@@ -206,9 +235,6 @@ class PoseidonTrainer {
 
   Network& worker_net(int w);
   const Coordinator& coordinator() const { return *coordinator_; }
-  const std::vector<RuntimeScheme>& schemes() const { return schemes_; }
-  /// The resolved per-layer wire-compression plan (parallel to schemes()).
-  const std::vector<GradCompression>& compression() const { return compression_; }
   MessageBus& bus() { return *bus_; }
   /// The failure detector (null unless failure_detection.enabled).
   const FailureDetector* failure_detector() const { return detector_.get(); }
@@ -220,8 +246,8 @@ class PoseidonTrainer {
   int shards_per_server() const;
   const KvServer& server(int s) const { return *servers_[static_cast<size_t>(s)]; }
 
-  /// The communication plan in force (never null; paper mode's legacy
-  /// decisions are expressed as a plan too).
+  /// The communication plan in force (never null): per-layer scheme and
+  /// codec, shard count, staleness, batching.
   std::shared_ptr<const CommPlan> plan() const { return plan_; }
   /// Swaps the communication stack onto `new_plan` at an iteration boundary
   /// (call between Train() windows only; CHECKs staleness = 0 and no crash
@@ -246,11 +272,8 @@ class PoseidonTrainer {
   void MaybeCheckpoint(int w, int64_t next_iter);
   std::string CheckpointPath(int w) const;
 
-  /// Builds the paper-mode or joint-auto PlanRequest for the current model
-  /// and cluster shape.
-  PlanRequest BuildPlanRequest() const;
-  /// Applies plan-driven knobs (schemes, compression, batching) after the
-  /// coordinator exists.
+  /// Checks plan_ against the coordinator and turns on the egress batching
+  /// it asks for; the KV servers and client libraries read the rest of it.
   void ApplyPlanSchemes();
   /// Feedback hook run after each Train() window.
   void MaybeReplan();
@@ -261,8 +284,6 @@ class PoseidonTrainer {
   std::vector<std::unique_ptr<Network>> worker_nets_;
   std::unique_ptr<Network> init_net_;
   std::unique_ptr<Coordinator> coordinator_;
-  std::vector<RuntimeScheme> schemes_;
-  std::vector<GradCompression> compression_;
   std::vector<std::unique_ptr<KvServer>> servers_;
   std::vector<std::unique_ptr<ClientLibrary>> clients_;
   std::shared_ptr<const CommPlan> plan_;

@@ -183,7 +183,7 @@ std::string FormatLossAblation(const std::string& title, const ModelSpec& model,
   return out.str();
 }
 
-CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
+CompressionAblationPoint RunCompressionAblation(PlanCodecPolicy policy,
                                                 double topk_density, int iters) {
   DatasetConfig data;
   data.num_classes = 3;
@@ -202,7 +202,7 @@ CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
   options.num_workers = 2;
   options.num_servers = 2;
   options.batch_per_worker = 4;
-  options.fc_policy = FcSyncPolicy::kDense;  // every layer on the PS path
+  options.fc_policy = PlanPolicy::kDense;  // every layer on the PS path
   options.kv_pair_bytes = 1024;
   options.ps_compression = policy;
   options.topk_density = topk_density;

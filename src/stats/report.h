@@ -14,7 +14,7 @@
 #include "src/common/cli.h"
 #include "src/models/model_spec.h"
 #include "src/planner/comm_plan.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 
@@ -91,7 +91,7 @@ struct CompressionAblationPoint {
 // Trains a small seeded MLP for `iters` iterations under `policy` (the size
 // gate is lowered so every PS layer actually runs the codec; density applies
 // to the top-k codec only).
-CompressionAblationPoint RunCompressionAblation(PsCompressionPolicy policy,
+CompressionAblationPoint RunCompressionAblation(PlanCodecPolicy policy,
                                                 double topk_density, int iters);
 
 }  // namespace poseidon

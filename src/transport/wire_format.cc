@@ -162,7 +162,7 @@ Status UnpackEntryHeader(const PackedEntry& e, int from_node, int to_node,
                                 std::to_string(type));
   }
   uint32_t codec = (e.word1 >> 3) & 0x7;
-  if (codec > static_cast<uint32_t>(WireCodec::kSufficientFactor)) {
+  if (codec > static_cast<uint32_t>(WireCodec::kTopK)) {
     return InvalidArgumentError("batched entry has unknown codec " +
                                 std::to_string(codec));
   }
@@ -274,7 +274,7 @@ Status DecodeMessageFrame(Cursor* c, std::vector<Message>* out) {
                                 std::to_string(type));
   }
   uint32_t codec = h[1];
-  if (codec > static_cast<uint32_t>(WireCodec::kSufficientFactor)) {
+  if (codec > static_cast<uint32_t>(WireCodec::kTopK)) {
     return InvalidArgumentError("wire frame has unknown codec " +
                                 std::to_string(codec));
   }

@@ -1,11 +1,11 @@
 // Property tests for the Table-1 extension (ring/tree allreduce rows) and
-// the three-way HybComm chooser:
+// the CommPlanner's three-way HybComm decision:
 //  * the ring row's crossover against PS and SFB is monotone in P1 and in
 //    the layer size M*N (the winner can flip at most once along each axis),
-//  * BestSchemeExtended never returns a scheme whose modeled cost is
-//    strictly higher than any admissible alternative,
-//  * ResolveSchemes hands ResNet-style conv layers to a collective scheme
-//    under a high-worker-count cluster (the acceptance scenario).
+//  * the paper-mode hybrid-collective plan never assigns a scheme whose
+//    modeled cost is strictly higher than any admissible alternative,
+//  * the runtime's plan hands ResNet-style conv layers to a collective
+//    scheme under a high-worker-count cluster (the acceptance scenario).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,10 +14,29 @@
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
 #include "src/nn/builders.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/planner/comm_planner.h"
+#include "src/poseidon/trainer.h"
 
 namespace poseidon {
 namespace {
+
+ModelSpec OneLayer(const LayerSpec& layer) {
+  ModelSpec model;
+  model.name = layer.name;
+  model.layers = {layer};
+  return model;
+}
+
+// The planner's joint byte-basis pick over (scheme, codec) for one layer at
+// one shard: the menu the compressed HybComm extension searches.
+PlanLayerChoice JointBytePick(const LayerSpec& layer, int64_t batch_k, int p,
+                              double density = 0.01) {
+  PlanRequest req = PaperRequest(OneLayer(layer), p, static_cast<int>(batch_k),
+                                 PlanPolicy::kHybridCollective, PlanCodecPolicy::kAuto);
+  req.topk_density = density;
+  req.joint = true;
+  return PlanComm(req).layers[0];
+}
 
 CommCostQuery MakeQuery(int64_t m, int64_t n, int64_t k, int p) {
   CommCostQuery q;
@@ -107,9 +126,9 @@ TEST(CollectiveCostTest, RingVsSfbCrossoverMonotoneInLayerSize) {
   }
 }
 
-// The chooser is optimal by construction; verify against brute force over a
-// grid of FC and conv layers.
-TEST(CollectiveCostTest, BestSchemeExtendedNeverDominated) {
+// The three-way decision is optimal by construction; verify against brute
+// force over a grid of FC and conv layers.
+TEST(CollectiveCostTest, ThreeWayPlanNeverDominated) {
   for (int p : {1, 2, 3, 5, 8, 16, 64}) {
     for (int64_t m : {16, 1000, 4096}) {
       for (int64_t n : {16, 1024, 25088}) {
@@ -121,21 +140,25 @@ TEST(CollectiveCostTest, BestSchemeExtendedNeverDominated) {
             layer.fc_m = type == LayerType::kFC ? m : 0;
             layer.fc_n = type == LayerType::kFC ? n : 0;
             layer.params = m * n;
-            const CommScheme best = BestSchemeExtended(layer, k, p, p);
+            const PlannedScheme best =
+                PlanComm(PaperRequest(OneLayer(layer), p, static_cast<int>(k),
+                                      PlanPolicy::kHybridCollective))
+                    .layers[0]
+                    .scheme;
             if (p == 1) {
-              EXPECT_EQ(best, CommScheme::kPS);
+              EXPECT_EQ(best, PlannedScheme::kPS);
               continue;
             }
             CommCostQuery q = MakeQuery(type == LayerType::kFC ? m : m * n,
                                         type == LayerType::kFC ? n : 1, k, p);
             const double best_cost = SchemeWorkerFloats(best, q);
-            for (CommScheme alt : {CommScheme::kPS, CommScheme::kSFB, CommScheme::kRing,
-                                   CommScheme::kTree}) {
-              if (alt == CommScheme::kSFB && type != LayerType::kFC) {
+            for (PlannedScheme alt : {PlannedScheme::kPS, PlannedScheme::kSFB,
+                                      PlannedScheme::kRing, PlannedScheme::kTree}) {
+              if (alt == PlannedScheme::kSFB && type != LayerType::kFC) {
                 continue;  // not admissible for conv
               }
               EXPECT_LE(best_cost, SchemeWorkerFloats(alt, q))
-                  << CommSchemeName(best) << " dominated by " << CommSchemeName(alt)
+                  << PlannedSchemeName(best) << " dominated by " << PlannedSchemeName(alt)
                   << " at P=" << p << " m=" << m << " n=" << n << " k=" << k;
             }
           }
@@ -157,11 +180,14 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
   cluster.num_servers = 32;
   cluster.batch_per_worker = 32;
   Coordinator coordinator(*net, cluster);
-  const std::vector<RuntimeScheme> schemes =
-      ResolveSchemes(coordinator, FcSyncPolicy::kHybridCollective);
+  TrainerOptions options;
+  options.num_workers = 32;
+  options.num_servers = 32;
+  options.batch_per_worker = 32;
+  options.fc_policy = PlanPolicy::kHybridCollective;
   int collective_layers = 0;
-  for (RuntimeScheme scheme : schemes) {
-    if (scheme == RuntimeScheme::kRingAllreduce || scheme == RuntimeScheme::kTreeAllreduce) {
+  for (const PlanLayerChoice& choice : RuntimePlan(coordinator, options)->layers) {
+    if (choice.scheme == PlannedScheme::kRing || choice.scheme == PlannedScheme::kTree) {
       ++collective_layers;
     }
   }
@@ -171,21 +197,21 @@ TEST(CollectiveCostTest, ResNetResolvesToCollectiveUnderManyWorkers) {
 // Same property on the spec-level zoo model (the full ResNet-152): the
 // three-way chooser must move its conv bulk off the PS at scale.
 TEST(CollectiveCostTest, ResNet152SpecPrefersCollectiveConv) {
-  const ModelSpec model = MakeResNet152();
+  const CommPlan plan = PlanComm(PaperRequest(MakeResNet152(), /*num_nodes=*/32,
+                                               /*batch_per_worker=*/32,
+                                               PlanPolicy::kHybridCollective));
   int collective_layers = 0;
-  for (const LayerSpec& layer : model.layers) {
-    const CommScheme best = BestSchemeExtended(layer, /*batch_k=*/32, /*num_workers=*/32,
-                                               /*num_servers=*/32);
-    if (best == CommScheme::kRing || best == CommScheme::kTree) {
+  for (const PlanLayerChoice& choice : plan.layers) {
+    if (choice.scheme == PlannedScheme::kRing || choice.scheme == PlannedScheme::kTree) {
       ++collective_layers;
     }
   }
   EXPECT_GT(collective_layers, 0);
 }
 
-// The compressed chooser is optimal on the byte basis by construction;
-// verify against brute force over every admissible (scheme, codec) pair.
-TEST(CollectiveCostTest, BestSchemeExtendedCompressedNeverDominated) {
+// The joint byte-basis pick is optimal by construction; verify against brute
+// force over every admissible (scheme, codec) pair.
+TEST(CollectiveCostTest, JointBytePickNeverDominated) {
   const double density = 0.05;
   for (int p : {2, 3, 8, 32}) {
     for (int64_t m : {16, 1000, 4096}) {
@@ -197,29 +223,27 @@ TEST(CollectiveCostTest, BestSchemeExtendedCompressedNeverDominated) {
           layer.fc_m = type == LayerType::kFC ? m : 0;
           layer.fc_n = type == LayerType::kFC ? n : 0;
           layer.params = m * n;
-          const SchemeChoice choice =
-              BestSchemeExtendedCompressed(layer, /*batch_k=*/32, p, p,
-                                           /*ps_shards=*/1, density);
+          const PlanLayerChoice choice = JointBytePick(layer, /*batch_k=*/32, p, density);
           CommCostQuery q = MakeQuery(type == LayerType::kFC ? m : m * n,
                                       type == LayerType::kFC ? n : 1, 32, p);
-          EXPECT_DOUBLE_EQ(choice.bytes,
+          EXPECT_DOUBLE_EQ(choice.predicted_bytes,
                            SchemeWireBytes(choice.scheme, choice.compression, q, density));
-          for (CommScheme alt : {CommScheme::kPS, CommScheme::kSFB, CommScheme::kRing,
-                                 CommScheme::kTree}) {
-            if (alt == CommScheme::kSFB && type != LayerType::kFC) {
+          for (PlannedScheme alt : {PlannedScheme::kPS, PlannedScheme::kSFB,
+                                    PlannedScheme::kRing, PlannedScheme::kTree}) {
+            if (alt == PlannedScheme::kSFB && type != LayerType::kFC) {
               continue;  // not admissible for conv
             }
             for (GradCompression codec :
                  {GradCompression::kNone, GradCompression::kFp16, GradCompression::kInt8,
                   GradCompression::kTopK}) {
               if (codec != GradCompression::kNone &&
-                  (alt != CommScheme::kPS || m * n < kCompressionMinFloats)) {
+                  (alt != PlannedScheme::kPS || m * n < kCompressionMinFloats)) {
                 continue;  // only the PS path compresses, above the size gate
               }
-              EXPECT_LE(choice.bytes, SchemeWireBytes(alt, codec, q, density))
-                  << CommSchemeName(choice.scheme) << "+"
+              EXPECT_LE(choice.predicted_bytes, SchemeWireBytes(alt, codec, q, density))
+                  << PlannedSchemeName(choice.scheme) << "+"
                   << GradCompressionName(choice.compression) << " dominated by "
-                  << CommSchemeName(alt) << "+" << GradCompressionName(codec)
+                  << PlannedSchemeName(alt) << "+" << GradCompressionName(codec)
                   << " at P=" << p << " m=" << m << " n=" << n;
             }
           }
@@ -229,18 +253,17 @@ TEST(CollectiveCostTest, BestSchemeExtendedCompressedNeverDominated) {
   }
 }
 
-// Acceptance scenario for the byte-basis chooser: on ResNet-152 at 32
+// Acceptance scenario for the byte-basis joint pick: on ResNet-152 at 32
 // workers the big conv layers leave raw PS for a *compressed* PS row (the
 // quantized round trip undercuts even ring allreduce), while layers under
 // the size gate stay raw.
-TEST(CollectiveCostTest, CompressedChooserMovesLargeConvOntoCompressedPs) {
+TEST(CollectiveCostTest, JointPickMovesLargeConvOntoCompressedPs) {
   const ModelSpec model = MakeResNet152();
   int compressed_ps = 0;
   for (const LayerSpec& layer : model.layers) {
-    const SchemeChoice choice = BestSchemeExtendedCompressed(
-        layer, /*batch_k=*/32, /*num_workers=*/32, /*num_servers=*/32);
+    const PlanLayerChoice choice = JointBytePick(layer, /*batch_k=*/32, /*p=*/32);
     if (choice.compression != GradCompression::kNone) {
-      EXPECT_EQ(choice.scheme, CommScheme::kPS) << layer.name;
+      EXPECT_EQ(choice.scheme, PlannedScheme::kPS) << layer.name;
       EXPECT_GE(layer.params, kCompressionMinFloats) << layer.name;
       ++compressed_ps;
     }
@@ -249,7 +272,7 @@ TEST(CollectiveCostTest, CompressedChooserMovesLargeConvOntoCompressedPs) {
       << "no layer class chose a compressed scheme on the byte basis";
 }
 
-TEST(CollectiveCostTest, CompressedChooserBreaksTiesTowardEarlierCandidate) {
+TEST(CollectiveCostTest, JointPickBreaksTiesTowardEarlierCandidate) {
   // Density chosen so top-k's round trip (8d + 2) exactly ties int8's
   // (1 + 4/256 + 2); the strict-improvement rule keeps the earlier int8.
   const double tie_density = (1.0 + 4.0 / 256.0) / 8.0;
@@ -257,15 +280,12 @@ TEST(CollectiveCostTest, CompressedChooserBreaksTiesTowardEarlierCandidate) {
   layer.name = "conv";
   layer.type = LayerType::kConv;
   layer.params = int64_t{1} << 20;
-  const SchemeChoice choice = BestSchemeExtendedCompressed(
-      layer, /*batch_k=*/32, /*num_workers=*/32, /*num_servers=*/32,
-      /*ps_shards=*/1, tie_density);
+  const PlanLayerChoice choice = JointBytePick(layer, /*batch_k=*/32, /*p=*/32, tie_density);
   EXPECT_EQ(choice.compression, GradCompression::kInt8);
 
   // And a single worker never compresses: there is no wire to save.
-  const SchemeChoice solo = BestSchemeExtendedCompressed(
-      layer, /*batch_k=*/32, /*num_workers=*/1, /*num_servers=*/1);
-  EXPECT_EQ(solo.scheme, CommScheme::kPS);
+  const PlanLayerChoice solo = JointBytePick(layer, /*batch_k=*/32, /*p=*/1);
+  EXPECT_EQ(solo.scheme, PlannedScheme::kPS);
   EXPECT_EQ(solo.compression, GradCompression::kNone);
 }
 

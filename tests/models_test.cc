@@ -5,6 +5,7 @@
 
 #include "src/models/comm_cost.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 namespace {
@@ -100,7 +101,7 @@ TEST(CommCostTest, PaperWorkedExample) {
   EXPECT_NEAR(PsColocatedFloats(q) / 1e6, 58.7, 0.2);
   // "2K(M+N)(P1-1) ≈ 3.7 million for a single node using SFB"
   EXPECT_NEAR(SfbWorkerFloats(q) / 1e6, 3.67, 0.05);
-  EXPECT_TRUE(SfbWins(q));
+  EXPECT_LE(SfbWorkerFloats(q), PsColocatedFloats(q));  // Algorithm 1 picks SFB
 }
 
 TEST(CommCostTest, AdamCosts) {
@@ -112,32 +113,43 @@ TEST(CommCostTest, AdamCosts) {
                    7.0 * (4096.0 * 4096 + 32.0 * 4096 + 32.0 * 4096));
 }
 
+// Algorithm 1 as the planner's paper mode decides it for a one-layer model on
+// `p` colocated nodes at batch `k`.
+PlannedScheme HybridPick(const LayerSpec& layer, int64_t k, int p) {
+  ModelSpec model;
+  model.name = layer.name;
+  model.layers = {layer};
+  return PlanComm(PaperRequest(model, p, static_cast<int>(k), PlanPolicy::kHybrid))
+      .layers[0]
+      .scheme;
+}
+
 TEST(CommCostTest, ConvAlwaysPs) {
   LayerSpec conv = ConvLayer("c", 64, 64, 3, 28);
-  EXPECT_EQ(BestScheme(conv, 32, 8, 8), CommScheme::kPS);
+  EXPECT_EQ(HybridPick(conv, 32, 8), PlannedScheme::kPS);
 }
 
 TEST(CommCostTest, SingleWorkerAlwaysPs) {
   LayerSpec fc = FcLayer("fc", 4096, 4096);
-  EXPECT_EQ(BestScheme(fc, 32, 1, 1), CommScheme::kPS);
+  EXPECT_EQ(HybridPick(fc, 32, 1), PlannedScheme::kPS);
 }
 
 TEST(CommCostTest, GoogLeNetClassifierFlipsWithScale) {
   // §5.2: GoogLeNet's thin 1000x1024 FC with batch 128 reduces to PS at 16
   // nodes, but SFB still wins on few nodes.
   LayerSpec fc = FcLayer("loss3", 1000, 1024);
-  EXPECT_EQ(BestScheme(fc, 128, 16, 16), CommScheme::kPS);
-  EXPECT_EQ(BestScheme(fc, 128, 2, 2), CommScheme::kSFB);
+  EXPECT_EQ(HybridPick(fc, 128, 16), PlannedScheme::kPS);
+  EXPECT_EQ(HybridPick(fc, 128, 2), PlannedScheme::kSFB);
 }
 
 TEST(CommCostTest, BigSoftmaxPrefersSfbEvenAtScale) {
   // VGG19-22K's 21841x4096 classifier at K=32 stays SFB through 32 nodes.
   LayerSpec fc = FcLayer("fc8_22k", 21841, 4096);
-  EXPECT_EQ(BestScheme(fc, 32, 32, 32), CommScheme::kSFB);
+  EXPECT_EQ(HybridPick(fc, 32, 32), PlannedScheme::kSFB);
 }
 
-// Property sweep: the BestScheme decision must agree with comparing the two
-// Table 1 cost rows it is defined from.
+// Property sweep: the planner's Algorithm-1 decision must agree with
+// comparing the two Table 1 cost rows it is defined from.
 struct SweepParam {
   int64_t m;
   int64_t n;
@@ -145,9 +157,9 @@ struct SweepParam {
   int p;
 };
 
-class BestSchemeSweep : public ::testing::TestWithParam<SweepParam> {};
+class HybridPlanSweep : public ::testing::TestWithParam<SweepParam> {};
 
-TEST_P(BestSchemeSweep, MatchesCostComparison) {
+TEST_P(HybridPlanSweep, MatchesCostComparison) {
   const SweepParam param = GetParam();
   LayerSpec fc = FcLayer("fc", param.m, param.n);
   CommCostQuery q;
@@ -156,12 +168,12 @@ TEST_P(BestSchemeSweep, MatchesCostComparison) {
   q.batch_k = param.k;
   q.num_workers = param.p;
   q.num_servers = param.p;
-  const bool sfb = BestScheme(fc, param.k, param.p, param.p) == CommScheme::kSFB;
+  const bool sfb = HybridPick(fc, param.k, param.p) == PlannedScheme::kSFB;
   EXPECT_EQ(sfb, SfbWorkerFloats(q) <= PsColocatedFloats(q));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, BestSchemeSweep,
+    Grid, HybridPlanSweep,
     ::testing::Values(SweepParam{4096, 4096, 32, 2}, SweepParam{4096, 4096, 32, 8},
                       SweepParam{4096, 4096, 32, 32}, SweepParam{1000, 1024, 128, 4},
                       SweepParam{1000, 1024, 128, 16}, SweepParam{21841, 4096, 32, 32},

@@ -35,7 +35,7 @@ TEST(PlanTrainerTest, PaperModeRecordsAPlan) {
   const auto plan = trainer.plan();
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->ps_shards, trainer.shards_per_server());
-  EXPECT_EQ(plan->layers.size(), trainer.schemes().size());
+  EXPECT_EQ(plan->layers.size(), static_cast<size_t>(trainer.coordinator().num_layers()));
   EXPECT_EQ(plan->hash, plan->ComputeHash());
 }
 
@@ -57,6 +57,26 @@ TEST(PlanTrainerTest, FixedPlanCoincidingWithPaperIsBitwiseIdentical) {
 
   EXPECT_TRUE(adopted == baseline)
       << "adopting paper mode's own plan changed the trajectory";
+}
+
+// Adam's SF push is priced by the simulator only. A plan carrying it must
+// stop the runtime before any endpoint starts, naming the offending layer.
+TEST(PlanTrainerDeathTest, FixedPlanWithSimulatorOnlySchemeDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TrainerOptions options = SmallTrainerOptions();
+  std::shared_ptr<const CommPlan> paper;
+  {
+    PoseidonTrainer trainer(TinyMlpFactory(), options);
+    paper = trainer.plan();
+  }
+  CommPlan adam = *paper;
+  ASSERT_EQ(adam.layers[0].layer, "fc1");
+  adam.layers[0].scheme = PlannedScheme::kAdamSf;
+  adam.hash = adam.ComputeHash();
+  options.plan_mode = TrainerPlanMode::kFixed;
+  options.fixed_plan = std::make_shared<const CommPlan>(adam);
+  EXPECT_DEATH({ PoseidonTrainer trainer(TinyMlpFactory(), options); },
+               "plan layer 'fc1' uses SF->PS");
 }
 
 TEST(PlanTrainerTest, AutoPlanIsDeterministicAndTrains) {

@@ -48,25 +48,7 @@ double OracleBytes(PlannedScheme scheme, GradCompression codec, const LayerSpec&
   q.num_workers = r.num_workers;
   q.num_servers = r.num_servers;
   q.num_shards = shards;
-  CommScheme comm = CommScheme::kPS;
-  switch (scheme) {
-    case PlannedScheme::kPS:
-      comm = CommScheme::kPS;
-      break;
-    case PlannedScheme::kSFB:
-      comm = CommScheme::kSFB;
-      break;
-    case PlannedScheme::kRing:
-      comm = CommScheme::kRing;
-      break;
-    case PlannedScheme::kTree:
-      comm = CommScheme::kTree;
-      break;
-    default:
-      ADD_FAILURE() << "oracle asked for scheme " << static_cast<int>(scheme);
-      break;
-  }
-  return SchemeWireBytes(comm, codec, q, r.topk_density);
+  return SchemeWireBytes(scheme, codec, q, r.topk_density);
 }
 
 // Exhaustive per-layer argmin on the byte basis at one shard count, in the
@@ -223,9 +205,9 @@ TEST(PlanCacheTest, DistinctRequestsGetDistinctKeys) {
   EXPECT_FALSE(PlanRequestKey(base) == PlanRequestKey(other));
 
   other = base;
-  other.pinned_schemes.assign(base.layers.size(), PlannedScheme::kPS);
+  other.policy = PlanPolicy::kAdam;
   EXPECT_FALSE(PlanRequestKey(base) == PlanRequestKey(other))
-      << "pinned schemes must feed the digest";
+      << "the scheme policy must feed the digest";
 
   PlanCache cache;
   cache.GetOrPlan(base);
@@ -278,6 +260,28 @@ TEST(PlanJsonTest, FileRoundTripBacksFixedPlanRuns) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().hash, plan.hash);
   std::remove(path.c_str());
+}
+
+// The simulator-only Adam scheme is a full member of the plan vocabulary:
+// the paper-mode Adam policy assigns it to every FC layer (and nothing
+// else), and it survives the JSON round trip that --plan=fixed runs use.
+TEST(CommPlanTest, AdamSchemeRoundTripsThroughJson) {
+  const ModelSpec model = ModelByName("vgg19").value();
+  const CommPlan plan =
+      PlanComm(PaperRequest(model, 8, model.default_batch, PlanPolicy::kAdam));
+  int adam_layers = 0;
+  for (size_t l = 0; l < plan.layers.size(); ++l) {
+    const bool fc = model.layers[l].type == LayerType::kFC;
+    EXPECT_EQ(plan.layers[l].scheme == PlannedScheme::kAdamSf, fc) << plan.layers[l].layer;
+    adam_layers += fc ? 1 : 0;
+  }
+  ASSERT_GT(adam_layers, 0);
+
+  const StatusOr<CommPlan> loaded = CommPlan::FromJson(plan.ToJson());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().ToJson(), plan.ToJson());
+  EXPECT_EQ(loaded.value().hash, plan.hash);
+  EXPECT_EQ(loaded.value().layers.back().scheme, PlannedScheme::kAdamSf);
 }
 
 // ----------------------------------------------------------------- golden --

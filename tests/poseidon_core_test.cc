@@ -1,5 +1,6 @@
-// Tests for the coordinator's information book and KV partition plan, and
-// the FlatParamView the KV machinery is built on.
+// Tests for the coordinator's information book and KV partition plan, the
+// per-layer plan the runtime builds from it, and the FlatParamView the KV
+// machinery is built on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +10,31 @@
 #include "src/nn/layers.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/flat_params.h"
-#include "src/poseidon/runtime_scheme.h"
+#include "src/poseidon/trainer.h"
 #include "tests/testing/harness.h"
 
 namespace poseidon {
 namespace {
 
 using testing::SmallClusterInfo;
+
+// The plan the runtime executes for `coordinator`'s model and cluster under
+// the paper-mode `policy`.
+std::shared_ptr<const CommPlan> PlanFor(const Coordinator& coordinator, PlanPolicy policy) {
+  const ClusterInfo& cluster = coordinator.cluster();
+  TrainerOptions options;
+  options.num_workers = cluster.num_workers;
+  options.num_servers = cluster.num_servers;
+  options.shards_per_server = cluster.shards_per_server;
+  options.batch_per_worker = cluster.batch_per_worker;
+  options.kv_pair_bytes = cluster.kv_pair_bytes;
+  options.fc_policy = policy;
+  return RuntimePlan(coordinator, options);
+}
+
+PlannedScheme SchemeOf(const CommPlan& plan, int l) {
+  return plan.layers[static_cast<size_t>(l)].scheme;
+}
 
 TEST(CoordinatorTest, QueryInformationBook) {
   Rng rng(1);
@@ -62,15 +81,17 @@ TEST(CoordinatorTest, KvPairsBalanceServerLoad) {
   EXPECT_LT(static_cast<double>(max) / static_cast<double>(min), 1.1);
 }
 
-TEST(CoordinatorTest, BestSchemeUsesAlgorithm1) {
+TEST(RuntimePlanTest, HybridPolicyUsesAlgorithm1) {
   Rng rng(4);
   // Wide FC layers, tiny batch: SFB should win on multiple workers.
   auto net = BuildMlp(/*input_dim=*/4096, /*hidden_dim=*/1024, /*hidden_layers=*/1,
                       /*classes=*/10, rng);
   Coordinator multi(*net, SmallClusterInfo(8, 8, 8));
+  const std::shared_ptr<const CommPlan> multi_plan = PlanFor(multi, PlanPolicy::kHybrid);
   bool any_sfb = false;
   for (int l = 0; l < multi.num_layers(); ++l) {
-    if (multi.layer(l).type == LayerType::kFC && multi.BestScheme(l) == CommScheme::kSFB) {
+    if (multi.layer(l).type == LayerType::kFC &&
+        SchemeOf(*multi_plan, l) == PlannedScheme::kSFB) {
       any_sfb = true;
     }
   }
@@ -78,39 +99,43 @@ TEST(CoordinatorTest, BestSchemeUsesAlgorithm1) {
 
   // Single worker: everything through the PS.
   Coordinator single(*net, SmallClusterInfo(1, 1, 8));
+  const std::shared_ptr<const CommPlan> single_plan = PlanFor(single, PlanPolicy::kHybrid);
   for (int l = 0; l < single.num_layers(); ++l) {
-    EXPECT_EQ(single.BestScheme(l), CommScheme::kPS);
+    if (single.layer(l).total_floats > 0) {
+      EXPECT_EQ(SchemeOf(*single_plan, l), PlannedScheme::kPS);
+    }
   }
 }
 
-TEST(CoordinatorTest, BestSchemeByNameAndUnknownName) {
+TEST(RuntimePlanTest, LayersAreFoundByName) {
   Rng rng(5);
   auto net = BuildMlp(64, 32, 1, 4, rng);
   Coordinator coordinator(*net, SmallClusterInfo(2, 2, 8));
-  EXPECT_TRUE(coordinator.BestScheme("fc1").ok());
-  EXPECT_FALSE(coordinator.BestScheme("nope").ok());
+  const std::shared_ptr<const CommPlan> plan = PlanFor(coordinator, PlanPolicy::kHybrid);
+  EXPECT_NE(plan->Find("fc1"), nullptr);
+  EXPECT_EQ(plan->Find("nope"), nullptr);
 }
 
-TEST(RuntimeSchemeTest, ResolvesPolicies) {
+TEST(RuntimePlanTest, ResolvesPolicies) {
   Rng rng(6);
   auto net = BuildCifarQuick(3, 16, 10, rng);
   Coordinator coordinator(*net, SmallClusterInfo(4, 4, 8));
 
-  const auto dense = ResolveSchemes(coordinator, FcSyncPolicy::kDense);
-  const auto sfb = ResolveSchemes(coordinator, FcSyncPolicy::kSfb);
-  const auto onebit = ResolveSchemes(coordinator, FcSyncPolicy::kOneBit);
+  const std::shared_ptr<const CommPlan> dense = PlanFor(coordinator, PlanPolicy::kDense);
+  const std::shared_ptr<const CommPlan> sfb = PlanFor(coordinator, PlanPolicy::kSfb);
+  const std::shared_ptr<const CommPlan> onebit = PlanFor(coordinator, PlanPolicy::kOneBit);
   for (int l = 0; l < coordinator.num_layers(); ++l) {
     const LayerInfo& info = coordinator.layer(l);
     if (info.total_floats == 0) {
-      EXPECT_EQ(dense[l], RuntimeScheme::kNone);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kNone);
+      EXPECT_EQ(SchemeOf(*dense, l), PlannedScheme::kNone);
+      EXPECT_EQ(SchemeOf(*sfb, l), PlannedScheme::kNone);
     } else if (info.type == LayerType::kFC) {
-      EXPECT_EQ(dense[l], RuntimeScheme::kPsDense);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kSfb);
-      EXPECT_EQ(onebit[l], RuntimeScheme::kOneBit);
+      EXPECT_EQ(SchemeOf(*dense, l), PlannedScheme::kPS);
+      EXPECT_EQ(SchemeOf(*sfb, l), PlannedScheme::kSFB);
+      EXPECT_EQ(SchemeOf(*onebit, l), PlannedScheme::kOneBit);
     } else {
-      EXPECT_EQ(dense[l], RuntimeScheme::kPsDense);
-      EXPECT_EQ(sfb[l], RuntimeScheme::kPsDense);  // conv never broadcasts
+      EXPECT_EQ(SchemeOf(*dense, l), PlannedScheme::kPS);
+      EXPECT_EQ(SchemeOf(*sfb, l), PlannedScheme::kPS);  // conv never broadcasts
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "src/cluster/protocol_sim.h"
 #include "src/cluster/system_config.h"
 #include "src/models/zoo.h"
+#include "src/planner/comm_planner.h"
 
 namespace poseidon {
 namespace {
@@ -191,11 +193,11 @@ TEST(ProtocolSimTest, CompressedPsCutsWireTraffic) {
   const SimResult raw =
       RunProtocolSimulation(model, CaffePlusWfbp(), cluster, Engine::kCaffe);
   const SimResult fp16 = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kFp16), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kFp16), cluster, Engine::kCaffe);
   const SimResult int8 = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kInt8), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kInt8), cluster, Engine::kCaffe);
   const SimResult topk = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kTopK, 0.01), cluster, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kTopK, 0.01), cluster, Engine::kCaffe);
 
   EXPECT_LT(TotalTxGbits(fp16), 0.6 * TotalTxGbits(raw));
   EXPECT_LT(TotalTxGbits(int8), TotalTxGbits(fp16));
@@ -215,19 +217,23 @@ TEST(ProtocolSimTest, CompressedPsCutsWireTraffic) {
   const SimResult raw_slow =
       RunProtocolSimulation(model, CaffePlusWfbp(), starved, Engine::kCaffe);
   const SimResult fp16_slow = RunProtocolSimulation(
-      model, CompressedPsSystem(GradCompression::kFp16), starved, Engine::kCaffe);
+      model, CompressedPsSystem(PlanCodecPolicy::kFp16), starved, Engine::kCaffe);
   EXPECT_LT(fp16_slow.iter_time_s, 0.7 * raw_slow.iter_time_s);
 }
 
-TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
+TEST(ProtocolSimTest, JointPlanWithAutoCodecBeatsHybridCollective) {
   const ModelSpec model = MakeVgg19();
   const ClusterSpec cluster = Cluster(16, 10.0);
   const SimResult plain = RunProtocolSimulation(model, HybridCollectiveSystem(), cluster,
                                                 Engine::kCaffe);
-  SystemConfig compressed = HybridCollectiveSystem();
-  compressed.auto_ps_compression = true;
-  const SimResult mixed =
-      RunProtocolSimulation(model, compressed, cluster, Engine::kCaffe);
+  // Compression joins the scheme menu: the joint byte-basis plan minimizes
+  // wire bytes over (PS, codec) and the raw-float alternatives per layer.
+  PlanRequest request = PaperRequest(model, 16, model.default_batch,
+                                     PlanPolicy::kHybridCollective, PlanCodecPolicy::kAuto);
+  request.joint = true;
+  const SimResult mixed = RunProtocolSimulation(
+      model, PlannedSystem(std::make_shared<const CommPlan>(PlanComm(request))), cluster,
+      Engine::kCaffe);
 
   int compressed_layers = 0;
   for (const auto& [layer, scheme] : mixed.layer_schemes) {
@@ -238,6 +244,30 @@ TEST(ProtocolSimTest, AutoCompressionJoinsHybridCollectiveChooser) {
   EXPECT_GT(compressed_layers, 0)
       << "the byte-basis chooser never picked a compressed PS row";
   EXPECT_LT(TotalTxGbits(mixed), TotalTxGbits(plain));
+}
+
+// The named Adam system is nothing but its paper-mode plan: simulating the
+// plan itself reproduces AdamSystem()'s result bit for bit.
+TEST(ProtocolSimTest, PlannedAdamPlanReproducesAdamSystem) {
+  const ModelSpec model = MakeVgg19();
+  for (int nodes : {2, 8}) {
+    SCOPED_TRACE(nodes);
+    const ClusterSpec cluster = Cluster(nodes, 10.0);
+    const auto plan = std::make_shared<const CommPlan>(
+        PlanComm(PaperRequest(model, nodes, model.default_batch, PlanPolicy::kAdam)));
+    const SimResult named = RunProtocolSimulation(model, AdamSystem(), cluster, Engine::kCaffe);
+    const SimResult planned =
+        RunProtocolSimulation(model, PlannedSystem(plan), cluster, Engine::kCaffe);
+    EXPECT_EQ(named.iter_time_s, planned.iter_time_s);
+    EXPECT_EQ(named.images_per_sec, planned.images_per_sec);
+    EXPECT_EQ(named.speedup, planned.speedup);
+    EXPECT_EQ(named.gpu_busy_frac, planned.gpu_busy_frac);
+    EXPECT_EQ(named.tx_gbits_per_iter, planned.tx_gbits_per_iter);
+    EXPECT_EQ(named.rx_gbits_per_iter, planned.rx_gbits_per_iter);
+    EXPECT_EQ(named.wire_msgs_per_iter, planned.wire_msgs_per_iter);
+    EXPECT_EQ(named.layer_schemes, planned.layer_schemes);
+    EXPECT_EQ(planned.layer_schemes.at("fc6"), "SF->PS");
+  }
 }
 
 // ----------------------------------------------------------------- golden --
@@ -282,10 +312,10 @@ TEST(SimDecisionGoldenTest, NamedSystemsReproduceCommittedDecisions) {
       HybridCollectiveSystem(),
       ShardedPsSystem(4),
       SspPoseidonSystem(2),
-      CompressedPsSystem(GradCompression::kFp16),
-      CompressedPsSystem(GradCompression::kInt8),
-      CompressedPsSystem(GradCompression::kTopK),
-      CompressedPsSystem(GradCompression::kNone, 0.01, /*auto_per_layer=*/true),
+      CompressedPsSystem(PlanCodecPolicy::kFp16),
+      CompressedPsSystem(PlanCodecPolicy::kInt8),
+      CompressedPsSystem(PlanCodecPolicy::kTopK),
+      CompressedPsSystem(PlanCodecPolicy::kAuto),
   };
   std::string text;
   for (const char* name : {"googlenet", "inception-v3", "vgg19", "vgg19-22k", "resnet-152"}) {
@@ -327,7 +357,7 @@ TEST(SimDecisionGoldenTest, NamedSystemsReproduceCommittedDecisions) {
 
 TEST(ProtocolSimTest, CompressedRunsStayDeterministic) {
   const ModelSpec model = MakeVgg19();
-  const SystemConfig system = CompressedPsSystem(GradCompression::kInt8);
+  const SystemConfig system = CompressedPsSystem(PlanCodecPolicy::kInt8);
   const SimResult a =
       RunProtocolSimulation(model, system, Cluster(8, 10.0), Engine::kCaffe);
   const SimResult b =

@@ -246,10 +246,12 @@ void ExpectSameTrajectory(const Trajectory& got, const Trajectory& want) {
 }
 
 Trajectory Oracle(const SocketClusterOptions& options) {
-  return CaptureTrajectory(
-      SmallTrainerOptions(options.workers, options.servers, options.shards,
-                          options.staleness, options.policy),
-      options.iterations, options.hidden_layers);
+  TrainerOptions trainer = SmallTrainerOptions(options.workers, options.servers,
+                                               options.shards, options.staleness,
+                                               options.policy);
+  trainer.ps_compression = options.compression;
+  trainer.compression_min_floats = 1;
+  return CaptureTrajectory(trainer, options.iterations, options.hidden_layers);
 }
 
 TEST(SocketClusterConformanceTest, TcpBspMatchesInProcessTrajectoryBitwise) {
@@ -272,6 +274,18 @@ TEST(SocketClusterConformanceTest, UnixColocatedClusterMatchesTrajectory) {
   options.colocate = true;  // worker n and server n share bus node n
   const SocketClusterRun run = RunSocketCluster(options);
   ExpectSameTrajectory(run.trajectory, Oracle(options));
+}
+
+TEST(SocketClusterConformanceTest, Int8ClusterCompressesLikeTheInProcessTrainer) {
+  // Every socket member executes the trainer's plan, codecs included: an
+  // int8 cluster follows the compressed in-process trajectory bit for bit
+  // (a member that dropped the codecs would train raw fp32 and diverge).
+  SocketClusterOptions options;
+  options.compression = PlanCodecPolicy::kInt8;
+  const SocketClusterRun run = RunSocketCluster(options);
+  ExpectSameTrajectory(run.trajectory, Oracle(options));
+  SocketClusterOptions raw;
+  EXPECT_FALSE(run.trajectory == Oracle(raw)) << "the int8 run trained raw fp32";
 }
 
 TEST(SocketClusterConformanceTest, BatchedEgressMatchesTrajectory) {

@@ -58,6 +58,8 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
         options.policy);
     config.trainer.server_node_base = base;
     config.trainer.batch_egress = options.batch_egress;
+    config.trainer.ps_compression = options.compression;
+    config.trainer.compression_min_floats = 1;
     config.hidden_layers = options.hidden_layers;
     config.iterations = options.iterations;
     config.process = p;

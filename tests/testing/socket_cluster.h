@@ -21,7 +21,10 @@ struct SocketClusterOptions {
   int servers = 2;
   int shards = 2;
   int staleness = 0;
-  FcSyncPolicy policy = FcSyncPolicy::kDense;
+  PlanPolicy policy = PlanPolicy::kDense;
+  /// PS wire codec policy. The size gate is lowered to one float, so the
+  /// tiny MLP's PS layers all run the codec.
+  PlanCodecPolicy compression = PlanCodecPolicy::kNone;
   int iterations = 6;
   int hidden_layers = 2;
   /// AF_UNIX instead of TCP loopback.

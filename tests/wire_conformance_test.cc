@@ -308,6 +308,31 @@ TEST(WireConformanceTest, BatchFramesDecodeBitExactly) {
   }
 }
 
+TEST(WireConformanceTest, CompressedCodecIdsCrossTheWire) {
+  // fp16 / int8 / top-k pushes ride the same frames as the paper's codecs:
+  // both the single-frame and the batch-entry decoder must accept their ids.
+  for (WireCodec id : {WireCodec::kFp16, WireCodec::kInt8, WireCodec::kTopK}) {
+    SCOPED_TRACE(WireCodecName(id));
+    std::vector<Message> entries = BatchEntries();
+    entries[0].codec = id;
+    Message single = RawPush();
+    single.codec = id;
+    const std::vector<uint8_t> frames[] = {EncodeMessageFrame(single),
+                                           EncodeBatchFrame(entries)};
+    const std::vector<Message> originals[] = {{single}, entries};
+    for (int f = 0; f < 2; ++f) {
+      std::vector<Message> decoded;
+      const Status status = DecodeWireFrame(
+          frames[f].data(), static_cast<int64_t>(frames[f].size()), &decoded);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      ASSERT_EQ(decoded.size(), originals[f].size());
+      for (size_t i = 0; i < decoded.size(); ++i) {
+        ExpectSameMessage(decoded[i], originals[f][i]);
+      }
+    }
+  }
+}
+
 TEST(WireConformanceTest, DecodedPayloadsReconstructThroughTheCodecRegistry) {
   // The receiver's real consumption path: look the codec up by the id in the
   // frame header and decode the chunk views. Dense reconstructions must be
