@@ -391,7 +391,11 @@ bool SfbWins(const LayerSpec& layer, const PlanRequest& r) {
 /// `shards`: the raw-fp32 argmin of the joint search's per-layer fold. At 4
 /// bytes per float the byte rows are the float rows scaled by a power of two,
 /// so this orders candidates exactly as the float rows do; ties keep the
-/// earlier (paper-preferred) candidate.
+/// earlier (paper-preferred) candidate. Note the deliberate basis mismatch:
+/// the paper's PS rows count sends plus receives while the collective rows
+/// count one direction, which credits collectives with the PS round trip
+/// near crossovers; the simulator, which moves actual bytes, is the arbiter
+/// where that margin matters.
 PlannedScheme ThreeWayScheme(const LayerSpec& layer, const PlanRequest& r, int shards) {
   const CostBasis bytes;
   LayerMenu menu;
