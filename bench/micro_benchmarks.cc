@@ -33,19 +33,29 @@
 namespace poseidon {
 namespace {
 
-void BM_Gemm(benchmark::State& state) {
+// Times one of the three GEMMs on n×n operands.
+void TimeSquareGemm(benchmark::State& state,
+                    void (*gemm)(const Tensor&, const Tensor&, Tensor*)) {
   const int64_t n = state.range(0);
   Rng rng(1);
   Tensor a = Tensor::RandomUniform({n, n}, -1.0f, 1.0f, rng);
   Tensor b = Tensor::RandomUniform({n, n}, -1.0f, 1.0f, rng);
   Tensor c({n, n});
   for (auto _ : state) {
-    Gemm(a, b, &c);
+    gemm(a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
+
+void BM_Gemm(benchmark::State& state) { TimeSquareGemm(state, Gemm); }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_GemmTransA(benchmark::State& state) { TimeSquareGemm(state, GemmTransA); }
+BENCHMARK(BM_GemmTransA)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_GemmTransB(benchmark::State& state) { TimeSquareGemm(state, GemmTransB); }
+BENCHMARK(BM_GemmTransB)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_OneBitEncode(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -334,6 +344,10 @@ double NsPerCall(Fn&& fn) {
 // limited kernel can reach. Emitted series:
 //   onebit_roundtrip_floats_per_s_{scalar,simd}   codec round trip
 //   ring_reduce_floats_per_s_{scalar,simd}        collective accumulate loop
+//   gemm_nt_flops_per_s_{scalar,simd}             FC forward GEMM (A·Bᵀ);
+//       per repeat, one sample at perfbench ps-deep's shape (16×64
+//       activations, 64×64 weight), then one at wide-int8's (8×1024,
+//       1024×1024)
 //   mem_bw_gbps                                   large-buffer copy bandwidth
 // When the host has no SIMD backend (meta simd_available = 0) the _simd
 // series repeat the scalar numbers so the required-series contract holds;
@@ -352,6 +366,19 @@ void RecordRoofline(BenchRecord* record) {
   const int64_t reduce_n = 64 * 1024;
   std::vector<float> reduce_dst(static_cast<size_t>(reduce_n), 0.5f);
   std::vector<float> reduce_src(static_cast<size_t>(reduce_n), 0.25f);
+  struct GemmCase {
+    Tensor a, b, c;
+  };
+  std::vector<GemmCase> gemm_cases;
+  // {batch, width}: the FC forward of perfbench ps-deep, then wide-int8.
+  const int64_t gemm_shapes[][2] = {{16, 64}, {8, 1024}};
+  for (const auto& shape : gemm_shapes) {
+    const int64_t batch = shape[0];
+    const int64_t width = shape[1];
+    gemm_cases.push_back({Tensor::RandomUniform({batch, width}, -1.0f, 1.0f, rng),
+                          Tensor::RandomUniform({width, width}, -1.0f, 1.0f, rng),
+                          Tensor({batch, width})});
+  }
 
   for (const bool use_simd : {false, true}) {
     const simd::ScopedLevel pinned(use_simd ? best : simd::Level::kScalar);
@@ -370,6 +397,16 @@ void RecordRoofline(BenchRecord* record) {
       });
       record->Append(std::string("ring_reduce_floats_per_s_") + suffix,
                      1e9 * static_cast<double>(reduce_n) / reduce_ns);
+      for (GemmCase& gemm : gemm_cases) {
+        const double gemm_ns = NsPerCall([&] {
+          GemmTransB(gemm.a, gemm.b, &gemm.c);
+          benchmark::DoNotOptimize(gemm.c.data());
+        });
+        const double flops = 2.0 * static_cast<double>(gemm.a.size()) *
+                             static_cast<double>(gemm.b.dim(0));
+        record->Append(std::string("gemm_nt_flops_per_s_") + suffix,
+                       1e9 * flops / gemm_ns);
+      }
     }
   }
 
@@ -391,10 +428,14 @@ void RecordRoofline(BenchRecord* record) {
   const double scalar =
       record->Series("onebit_roundtrip_floats_per_s_scalar").front();
   const double vec = record->Series("onebit_roundtrip_floats_per_s_simd").front();
+  const std::vector<double>& gemm_scalar = record->Series("gemm_nt_flops_per_s_scalar");
+  const std::vector<double>& gemm_vec = record->Series("gemm_nt_flops_per_s_simd");
   std::printf("roofline: onebit %s %.0fM floats/s vs scalar %.0fM floats/s "
-              "(%.1fx), mem_bw %.1f Gb/s\n",
+              "(%.1fx), gemm_nt %.2f/%.2f GFLOP/s vs scalar %.2f/%.2f, "
+              "mem_bw %.1f Gb/s\n",
               simd::LevelName(best), vec / 1e6, scalar / 1e6, vec / scalar,
-              record->Series("mem_bw_gbps").front());
+              gemm_vec[0] / 1e9, gemm_vec[1] / 1e9, gemm_scalar[0] / 1e9,
+              gemm_scalar[1] / 1e9, record->Series("mem_bw_gbps").front());
 }
 
 void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,

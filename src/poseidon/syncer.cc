@@ -343,15 +343,21 @@ void Syncer::ReceiveSfb(int64_t iter) {
   std::vector<ParamBlock> params = layer_->Params();
   Tensor& weight = *params[0].value;
   Tensor& bias = *params[1].value;
-  Tensor agg = Tensor::Zeros(weight.shape());
-  Tensor scratch = Tensor::Zeros(weight.shape());
+  if (!sf_agg_.SameShape(weight)) {
+    sf_agg_ = Tensor(weight.shape());
+    sf_scratch_ = Tensor(weight.shape());
+  }
+  // DecodeReconstruct overwrites every element of the scratch; only the
+  // accumulator needs zeroing.
+  sf_agg_.SetZero();
   std::vector<float> bias_agg(static_cast<size_t>(bias.size()), 0.0f);
   for (int w = 0; w < num_workers; ++w) {
     const PayloadView& frame = frames[static_cast<size_t>(w)];
     CHECK(frame.valid());
-    const Status reconstructed = SufficientFactorCodec::DecodeReconstruct(frame, &scratch);
+    const Status reconstructed =
+        SufficientFactorCodec::DecodeReconstruct(frame, &sf_scratch_);
     CHECK(reconstructed.ok()) << reconstructed.ToString();
-    Axpy(1.0f, scratch, &agg);
+    Axpy(1.0f, sf_scratch_, &sf_agg_);
     StatusOr<SufficientFactorCodec::Frame> parsed = SufficientFactorCodec::Parse(frame);
     CHECK(parsed.ok()) << parsed.status().ToString();
     CHECK_EQ(parsed->bias.size(), static_cast<int64_t>(bias_agg.size()));
@@ -361,12 +367,12 @@ void Syncer::ReceiveSfb(int64_t iter) {
     }
   }
   const float inv = 1.0f / static_cast<float>(num_workers);
-  Scale(inv, &agg);
+  Scale(inv, &sf_agg_);
   for (float& b : bias_agg) {
     b *= inv;
   }
   const std::string key = "l" + std::to_string(layer_index_);
-  local_optimizer_->Step(key + ".w", agg, &weight);
+  local_optimizer_->Step(key + ".w", sf_agg_, &weight);
   local_optimizer_->StepSlice(key + ".b", bias_agg.data(), bias.data(), bias.size());
 }
 

@@ -108,6 +108,8 @@ class Syncer {
   std::vector<Payload> push_frames_;
   std::unique_ptr<CollectiveSyncer> collective_;  // ring/tree path
   Payload sf_frame_;                              // SFB frame (factors + bias)
+  Tensor sf_agg_;                                 // SFB aggregate weight gradient
+  Tensor sf_scratch_;                             // one peer's reconstructed gradient
   Payload onebit_frame_;                          // 1-bit frame (signs + levels + bias)
   OneBitQuantizer quantizer_;                     // persistent residual
   std::vector<Message> deferred_;                 // SFs from future iterations

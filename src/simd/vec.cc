@@ -1,5 +1,6 @@
 #include "src/simd/vec.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -174,6 +175,53 @@ float MaxAbs(const float* src, int64_t n) { return Active()->max_abs(src, n); }
 
 int64_t CountAbsGreater(const float* src, int64_t n, float threshold) {
   return Active()->count_abs_greater(src, n, threshold);
+}
+
+// Gemm and GemmTransA are row updates, so they are built on the axpy kernel
+// rather than owning backend entries. The (i, p) blocking keeps a block of B
+// rows cache-resident across rows of C; each element of C still receives its
+// products in ascending p.
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
+  std::fill(c, c + m * n, 0.0f);
+  const auto axpy = Active()->axpy;
+  constexpr int64_t kBlock = 64;
+  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
+    const int64_t i1 = std::min(i0 + kBlock, m);
+    for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
+      const int64_t p1 = std::min(p0 + kBlock, k);
+      for (int64_t i = i0; i < i1; ++i) {
+        for (int64_t p = p0; p < p1; ++p) {
+          const float a_ip = a[i * k + p];
+          if (a_ip != 0.0f) {
+            axpy(c + i * n, a_ip, b + p * n, n);
+          }
+        }
+      }
+    }
+  }
+}
+
+void GemmTransA(const float* a, const float* b, float* c, int64_t k, int64_t m,
+                int64_t n) {
+  std::fill(c, c + m * n, 0.0f);
+  const auto axpy = Active()->axpy;
+  constexpr int64_t kBlock = 64;
+  for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
+    const int64_t p1 = std::min(p0 + kBlock, k);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t p = p0; p < p1; ++p) {
+        const float a_pi = a[p * m + i];
+        if (a_pi != 0.0f) {
+          axpy(c + i * n, a_pi, b + p * n, n);
+        }
+      }
+    }
+  }
+}
+
+void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n) {
+  Active()->gemm_nt(a, b, c, m, k, n);
 }
 
 }  // namespace simd

@@ -10,7 +10,9 @@
 ///     tail, and every operation inside a block is elementwise (or, for the
 ///     1-bit column statistics, strictly sequential down the rows of each
 ///     column). No kernel ever reassociates a floating-point reduction, so
-///     the lane width never changes a result.
+///     the lane width never changes a result. The GEMMs put different
+///     output elements in different lanes; each element sums its products
+///     sequentially in ascending p.
 ///   * Backends never emit fused multiply-adds: vector code uses explicit
 ///     mul-then-add intrinsics, and the scalar reference translation unit is
 ///     compiled with -ffp-contract=off (see CMakeLists.txt), so AVX2/NEON
@@ -174,6 +176,30 @@ float MaxAbs(const float* src, int64_t n);
 /// counts). The top-k codec's threshold-selection pass.
 int64_t CountAbsGreater(const float* src, int64_t n, float threshold);
 
+// GEMM kernels for the layers' forward/backward passes and the SF codec's
+// reconstruction. All matrices are dense row-major; `c` is overwritten and
+// must not overlap `a` or `b`. Every output element accumulates its products
+// one at a time in ascending p, mul then add, starting from +0.0 — the lane
+// width never changes a sum.
+
+/// C[m,n] = A[m,k] · B[k,n]. Row-by-row Axpy updates `c_i += a_ip * b_p` in
+/// ascending p; entries with a_ip == 0 are skipped, so a zero in A adds
+/// nothing even against an inf or NaN in B.
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n);
+
+/// C[m,n] = A[k,m]ᵀ · B[k,n] — the weight-gradient product. Same per-element
+/// order and zero skip as Gemm.
+void GemmTransA(const float* a, const float* b, float* c, int64_t k, int64_t m,
+                int64_t n);
+
+/// C[m,n] = A[m,k] · B[n,k]ᵀ — the FC/conv forward pass and SF
+/// reconstruction (U Vᵀ): c_ij = ((0 + a_i0*b_j0) + a_i1*b_j1) + ..., with
+/// no zero skip. Vector backends give 8 rows of C one lane each, from a
+/// per-thread packed copy of A (m×k, the small activation operand), and
+/// stream B, the weight, from memory once; no scratch of B's size.
+void GemmTransB(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n);
+
 // ---------------------------------------------------------- backend table ---
 
 /// One backend's kernel implementations. Exposed so tests can drive a
@@ -197,6 +223,7 @@ struct Kernels {
   void (*int8_decode)(const int8_t*, int64_t, float, float*);
   float (*max_abs)(const float*, int64_t);
   int64_t (*count_abs_greater)(const float*, int64_t, float);
+  void (*gemm_nt)(const float*, const float*, float*, int64_t, int64_t, int64_t);
 };
 
 /// The scalar reference backend (always available).

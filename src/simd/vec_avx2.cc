@@ -13,9 +13,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/simd/bitpack.h"
+#include "src/simd/gemm_pack.h"
 #include "src/simd/quant.h"
 
 namespace poseidon {
@@ -399,6 +401,62 @@ POSEIDON_AVX2 int64_t Avx2CountAbsGreater(const float* src, int64_t n,
   return count;
 }
 
+// One tile of C = A·Bᵀ: rows i0..i0+7 (one lane each, from the packed row
+// block) by kCols consecutive columns (one accumulator each). Lane l of
+// accumulator col runs c[l][col] = ((0 + a_l0*b_0) + a_l1*b_1) + ... — the
+// scalar dot product, 8 rows at a time.
+template <int kCols>
+POSEIDON_AVX2 inline void Avx2GemmNtTile(const float* packed, const float* b,
+                                         int64_t k, float* c, int64_t n,
+                                         int64_t rows) {
+  __m256 acc[kCols];
+#pragma GCC unroll 8
+  for (int col = 0; col < kCols; ++col) {
+    acc[col] = _mm256_setzero_ps();
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const __m256 av = _mm256_loadu_ps(packed + p * 8);
+#pragma GCC unroll 8
+    for (int col = 0; col < kCols; ++col) {
+      const __m256 bv = _mm256_broadcast_ss(b + col * k + p);
+      acc[col] = _mm256_add_ps(acc[col], _mm256_mul_ps(av, bv));
+    }
+  }
+  alignas(32) float lanes[kCols][8];
+#pragma GCC unroll 8
+  for (int col = 0; col < kCols; ++col) {
+    _mm256_store_ps(lanes[col], acc[col]);
+  }
+  for (int64_t l = 0; l < rows; ++l) {
+    for (int col = 0; col < kCols; ++col) {
+      c[l * n + col] = lanes[col][l];
+    }
+  }
+}
+
+// Column tiles outermost: each 8-row slab of B (the weight) is read from
+// memory once and reused from cache by every row block of the packed A.
+POSEIDON_AVX2 void Avx2GemmNT(const float* a, const float* b, float* c, int64_t m,
+                              int64_t k, int64_t n) {
+  if (m == 0 || n == 0) {
+    return;
+  }
+  const float* packed = internal::PackRowBlocks8(a, m, k);
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int64_t i = 0; i < m; i += 8) {
+      Avx2GemmNtTile<8>(packed + i * k, b + j * k, k, c + i * n + j, n,
+                        std::min<int64_t>(8, m - i));
+    }
+  }
+  for (; j < n; ++j) {
+    for (int64_t i = 0; i < m; i += 8) {
+      Avx2GemmNtTile<1>(packed + i * k, b + j * k, k, c + i * n + j, n,
+                        std::min<int64_t>(8, m - i));
+    }
+  }
+}
+
 #undef POSEIDON_AVX2
 
 const Kernels kAvx2Kernels = {
@@ -409,7 +467,7 @@ const Kernels kAvx2Kernels = {
     Avx2Fp16EncodeSr,       Avx2Fp16EncodeRn,
     Avx2Fp16Decode,         Avx2Int8EncodeSr,
     Avx2Int8Decode,         Avx2MaxAbs,
-    Avx2CountAbsGreater,
+    Avx2CountAbsGreater,    Avx2GemmNT,
 };
 
 }  // namespace

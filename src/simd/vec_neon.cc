@@ -10,9 +10,11 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/simd/bitpack.h"
+#include "src/simd/gemm_pack.h"
 #include "src/simd/quant.h"
 
 namespace poseidon {
@@ -387,6 +389,65 @@ int64_t NeonCountAbsGreater(const float* src, int64_t n, float threshold) {
   return count;
 }
 
+// One tile of C = A·Bᵀ: rows i0..i0+7 (two 4-lane halves of the packed row
+// block) by kCols consecutive columns. Explicit vmul + vadd per product, so
+// every lane is the scalar dot product ((0 + a_l0*b_0) + a_l1*b_1) + ....
+template <int kCols>
+inline void NeonGemmNtTile(const float* packed, const float* b, int64_t k, float* c,
+                           int64_t n, int64_t rows) {
+  float32x4_t lo[kCols];
+  float32x4_t hi[kCols];
+#pragma GCC unroll 8
+  for (int col = 0; col < kCols; ++col) {
+    lo[col] = vdupq_n_f32(0.0f);
+    hi[col] = vdupq_n_f32(0.0f);
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const float32x4_t a_lo = vld1q_f32(packed + p * 8);
+    const float32x4_t a_hi = vld1q_f32(packed + p * 8 + 4);
+#pragma GCC unroll 8
+    for (int col = 0; col < kCols; ++col) {
+      const float32x4_t bv = vdupq_n_f32(b[col * k + p]);
+      lo[col] = vaddq_f32(lo[col], vmulq_f32(a_lo, bv));
+      hi[col] = vaddq_f32(hi[col], vmulq_f32(a_hi, bv));
+    }
+  }
+  float lanes[kCols][8];
+#pragma GCC unroll 8
+  for (int col = 0; col < kCols; ++col) {
+    vst1q_f32(lanes[col], lo[col]);
+    vst1q_f32(lanes[col] + 4, hi[col]);
+  }
+  for (int64_t l = 0; l < rows; ++l) {
+    for (int col = 0; col < kCols; ++col) {
+      c[l * n + col] = lanes[col][l];
+    }
+  }
+}
+
+// Column tiles outermost, as in the AVX2 backend: each 8-row slab of B is
+// read from memory once.
+void NeonGemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n) {
+  if (m == 0 || n == 0) {
+    return;
+  }
+  const float* packed = internal::PackRowBlocks8(a, m, k);
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (int64_t i = 0; i < m; i += 8) {
+      NeonGemmNtTile<8>(packed + i * k, b + j * k, k, c + i * n + j, n,
+                        std::min<int64_t>(8, m - i));
+    }
+  }
+  for (; j < n; ++j) {
+    for (int64_t i = 0; i < m; i += 8) {
+      NeonGemmNtTile<1>(packed + i * k, b + j * k, k, c + i * n + j, n,
+                        std::min<int64_t>(8, m - i));
+    }
+  }
+}
+
 const Kernels kNeonKernels = {
     Level::kNeon,           NeonReduceAdd,
     NeonScale,              NeonAxpy,
@@ -395,7 +456,7 @@ const Kernels kNeonKernels = {
     NeonFp16EncodeSr,       NeonFp16EncodeRn,
     NeonFp16Decode,         NeonInt8EncodeSr,
     NeonInt8Decode,         NeonMaxAbs,
-    NeonCountAbsGreater,
+    NeonCountAbsGreater,    NeonGemmNT,
 };
 
 }  // namespace

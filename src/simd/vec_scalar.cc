@@ -154,6 +154,23 @@ int64_t ScalarCountAbsGreater(const float* src, int64_t n, float threshold) {
   return count;
 }
 
+// One serial dot product per output element, ascending p from +0.0.
+void ScalarGemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                  int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* a_row = a + i * k;
+    float* c_row = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* b_row = b + j * k;
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a_row[p] * b_row[p];
+      }
+      c_row[j] = acc;
+    }
+  }
+}
+
 const Kernels kScalarKernels = {
     Level::kScalar,          ScalarReduceAdd,
     ScalarScale,             ScalarAxpy,
@@ -162,7 +179,7 @@ const Kernels kScalarKernels = {
     ScalarFp16EncodeSr,      ScalarFp16EncodeRn,
     ScalarFp16Decode,        ScalarInt8EncodeSr,
     ScalarInt8Decode,        ScalarMaxAbs,
-    ScalarCountAbsGreater,
+    ScalarCountAbsGreater,   ScalarGemmNT,
 };
 
 }  // namespace

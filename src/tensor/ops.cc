@@ -6,36 +6,10 @@
 #include "src/simd/vec.h"
 
 namespace poseidon {
-namespace {
 
-// Cache-blocked inner kernel: C[m,n] += A[m,k] * B[k,n], raw pointers,
-// row-major. The i-k-j loop order streams B rows and accumulates into C rows,
-// which vectorizes well without intrinsics.
-void GemmAccumulate(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
-  constexpr int64_t kBlock = 64;
-  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
-    const int64_t i1 = std::min(i0 + kBlock, m);
-    for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
-      const int64_t p1 = std::min(p0 + kBlock, k);
-      for (int64_t i = i0; i < i1; ++i) {
-        float* c_row = c + i * n;
-        for (int64_t p = p0; p < p1; ++p) {
-          const float a_ip = a[i * k + p];
-          if (a_ip == 0.0f) {
-            continue;
-          }
-          const float* b_row = b + p * n;
-          for (int64_t j = 0; j < n; ++j) {
-            c_row[j] += a_ip * b_row[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
+// The three products run on the bitwise-pinned kernels in src/simd: every
+// output element sums its products in ascending p, so the result does not
+// depend on the dispatched backend.
 void Gemm(const Tensor& a, const Tensor& b, Tensor* out) {
   CHECK_EQ(a.ndim(), 2);
   CHECK_EQ(b.ndim(), 2);
@@ -45,8 +19,7 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(1);
   CHECK_EQ(out->dim(0), m);
   CHECK_EQ(out->dim(1), n);
-  out->SetZero();
-  GemmAccumulate(a.data(), b.data(), out->data(), m, k, n);
+  simd::Gemm(a.data(), b.data(), out->data(), m, k, n);
 }
 
 void GemmTransA(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -58,26 +31,7 @@ void GemmTransA(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(1);
   CHECK_EQ(out->dim(0), m);
   CHECK_EQ(out->dim(1), n);
-  out->SetZero();
-  // out[i,j] = sum_p a[p,i] * b[p,j]: rank-1 accumulation per p keeps the
-  // inner loop contiguous on both operands.
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data();
-  for (int64_t p = 0; p < k; ++p) {
-    const float* a_row = ad + p * m;
-    const float* b_row = bd + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float a_pi = a_row[i];
-      if (a_pi == 0.0f) {
-        continue;
-      }
-      float* o_row = od + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        o_row[j] += a_pi * b_row[j];
-      }
-    }
-  }
+  simd::GemmTransA(a.data(), b.data(), out->data(), k, m, n);
 }
 
 void GemmTransB(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -89,21 +43,7 @@ void GemmTransB(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(0);
   CHECK_EQ(out->dim(0), m);
   CHECK_EQ(out->dim(1), n);
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* od = out->data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* a_row = ad + i * k;
-    float* o_row = od + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* b_row = bd + j * k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        acc += a_row[p] * b_row[p];
-      }
-      o_row[j] = acc;
-    }
-  }
+  simd::GemmTransB(a.data(), b.data(), out->data(), m, k, n);
 }
 
 void Axpy(float alpha, const Tensor& x, Tensor* y) {

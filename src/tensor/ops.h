@@ -1,7 +1,7 @@
 // BLAS-like kernels over Tensor. These are the primitive operations the NN
-// library's layers are built from; they are written as straightforward loops
-// with a blocked GEMM, which is plenty for the convergence-scale experiments
-// (the throughput experiments run on the analytic cluster simulator instead).
+// library's layers are built from. The three GEMMs run on the bitwise-pinned
+// SIMD kernels of src/simd (docs/PERFORMANCE.md); the rest are
+// straightforward loops.
 #ifndef POSEIDON_SRC_TENSOR_OPS_H_
 #define POSEIDON_SRC_TENSOR_OPS_H_
 

@@ -337,23 +337,10 @@ Status SufficientFactorCodec::DecodeReconstruct(const PayloadView& frame, Tensor
                                 out->ShapeString() + ", frame is " + std::to_string(f.m) +
                                 "x" + std::to_string(f.n));
   }
-  // U V^T with GemmTransB's exact loop order, reading straight from the
-  // slab: bitwise identical to ReconstructGradient on unserialized factors.
-  const float* u = f.u.size() > 0 ? f.u.data() : nullptr;
-  const float* v = f.v.size() > 0 ? f.v.data() : nullptr;
-  float* od = out->data();
-  for (int64_t i = 0; i < f.m; ++i) {
-    const float* u_row = u + i * f.k;
-    float* o_row = od + i * f.n;
-    for (int64_t j = 0; j < f.n; ++j) {
-      const float* v_row = v + j * f.k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < f.k; ++p) {
-        acc += u_row[p] * v_row[p];
-      }
-      o_row[j] = acc;
-    }
-  }
+  // U V^T on the GemmTransB kernel, reading straight from the slab: bitwise
+  // identical to ReconstructGradient on unserialized factors.
+  simd::GemmTransB(f.u.size() > 0 ? f.u.data() : nullptr,
+                   f.v.size() > 0 ? f.v.data() : nullptr, out->data(), f.m, f.k, f.n);
   return Status::Ok();
 }
 

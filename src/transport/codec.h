@@ -170,9 +170,9 @@ class SufficientFactorCodec : public Codec {
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
 
-  /// Overwrites `out` ([m, n]) with U V^T straight from the frame, using
-  /// the same loop order as ReconstructGradient (GemmTransB) so the result
-  /// is bitwise identical.
+  /// Overwrites `out` ([m, n]) with U V^T straight from the frame, on the
+  /// same simd::GemmTransB kernel as ReconstructGradient, so the result is
+  /// bitwise identical.
   static Status DecodeReconstruct(const PayloadView& frame, Tensor* out);
 };
 

@@ -5,9 +5,12 @@
 // determinism contract of docs/PERFORMANCE.md, enforced rather than assumed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/simd/vec.h"
@@ -270,12 +273,206 @@ TEST(SimdKernelTest, QuantKernelsMatchScalarBitwise) {
   }
 }
 
+// ------------------------------------------------------------------ GEMM ----
+// The historical src/tensor/ops.cc loops, verbatim, as the oracle every
+// backend must match bit for bit. This file is compiled with
+// -ffp-contract=off (CMakeLists.txt) so the oracle itself never fuses.
+
+void OracleGemmAccumulate(const float* a, const float* b, float* c, int64_t m,
+                          int64_t k, int64_t n) {
+  constexpr int64_t kBlock = 64;
+  for (int64_t i0 = 0; i0 < m; i0 += kBlock) {
+    const int64_t i1 = std::min(i0 + kBlock, m);
+    for (int64_t p0 = 0; p0 < k; p0 += kBlock) {
+      const int64_t p1 = std::min(p0 + kBlock, k);
+      for (int64_t i = i0; i < i1; ++i) {
+        float* c_row = c + i * n;
+        for (int64_t p = p0; p < p1; ++p) {
+          const float a_ip = a[i * k + p];
+          if (a_ip == 0.0f) {
+            continue;
+          }
+          const float* b_row = b + p * n;
+          for (int64_t j = 0; j < n; ++j) {
+            c_row[j] += a_ip * b_row[j];
+          }
+        }
+      }
+    }
+  }
+}
+
+void OracleGemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+                int64_t n) {
+  std::fill(c, c + m * n, 0.0f);
+  OracleGemmAccumulate(a, b, c, m, k, n);
+}
+
+void OracleGemmTransA(const float* ad, const float* bd, float* od, int64_t k,
+                      int64_t m, int64_t n) {
+  std::fill(od, od + m * n, 0.0f);
+  for (int64_t p = 0; p < k; ++p) {
+    const float* a_row = ad + p * m;
+    const float* b_row = bd + p * n;
+    for (int64_t i = 0; i < m; ++i) {
+      const float a_pi = a_row[i];
+      if (a_pi == 0.0f) {
+        continue;
+      }
+      float* o_row = od + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        o_row[j] += a_pi * b_row[j];
+      }
+    }
+  }
+}
+
+void OracleGemmTransB(const float* ad, const float* bd, float* od, int64_t m,
+                      int64_t k, int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    const float* a_row = ad + i * k;
+    float* o_row = od + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* b_row = bd + j * k;
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a_row[p] * b_row[p];
+      }
+      o_row[j] = acc;
+    }
+  }
+}
+
+// The NaN the hardware itself produces (inf * 0). Feeding only this pattern
+// means every NaN in a product or sum has the same bits, so the comparison
+// pins where NaNs appear without depending on which operand's payload an
+// instruction propagates when both are NaN.
+float DefaultNaN() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf * 0.0f;
+}
+
+// FuzzFloats plus, about 1 in 100 each, +inf, -inf and NaN.
+std::vector<float> FuzzSpecialFloats(std::mt19937* gen, size_t n) {
+  std::vector<float> out = FuzzFloats(gen, n);
+  std::uniform_int_distribution<int> kind(0, 99);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (float& v : out) {
+    switch (kind(*gen)) {
+      case 0:
+        v = inf;
+        break;
+      case 1:
+        v = -inf;
+        break;
+      case 2:
+        v = DefaultNaN();
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
+// Runs the three products at one shape under `level` and the oracle, on
+// operands starting `offset` floats into their buffers. The output buffer
+// starts as NaN garbage, so a kernel that skips an element (or writes past
+// the matrix) shows up in the memcmp too.
+void ExpectGemmsMatchOracle(simd::Level level, const std::vector<float>& a_buf,
+                            const std::vector<float>& b_buf, int64_t m, int64_t k,
+                            int64_t n, int64_t offset) {
+  const float* a = a_buf.data() + offset;
+  const float* b = b_buf.data() + offset;
+  const std::vector<float> garbage(static_cast<size_t>(m * n + offset + 8),
+                                   DefaultNaN());
+  std::vector<float> want = garbage, got = garbage;
+
+  OracleGemm(a, b, want.data() + offset, m, k, n);
+  {
+    simd::ScopedLevel pinned(level);
+    simd::Gemm(a, b, got.data() + offset, m, k, n);
+  }
+  EXPECT_TRUE(BitwiseEqual(want, got)) << "gemm";
+
+  want = garbage, got = garbage;
+  OracleGemmTransA(a, b, want.data() + offset, k, m, n);
+  {
+    simd::ScopedLevel pinned(level);
+    simd::GemmTransA(a, b, got.data() + offset, k, m, n);
+  }
+  EXPECT_TRUE(BitwiseEqual(want, got)) << "gemm_trans_a";
+
+  want = garbage, got = garbage;
+  OracleGemmTransB(a, b, want.data() + offset, m, k, n);
+  simd::KernelsFor(level)->gemm_nt(a, b, got.data() + offset, m, k, n);
+  EXPECT_TRUE(BitwiseEqual(want, got)) << "gemm_nt";
+}
+
+TEST(SimdKernelTest, GemmKernelsMatchScalarBitwise) {
+  std::mt19937 gen(20261017);
+  const std::vector<int64_t> dims = {1, 7, 8, 9, 17, 64};
+  for (simd::Level level : simd::SupportedLevels()) {
+    for (int64_t m : dims) {
+      for (int64_t k : dims) {
+        for (int64_t n : dims) {
+          for (int64_t offset : {0, 3}) {
+            SCOPED_TRACE(std::string(simd::LevelName(level)) + " m=" +
+                         std::to_string(m) + " k=" + std::to_string(k) + " n=" +
+                         std::to_string(n) + " offset=" + std::to_string(offset));
+            // Operand buffers cover the largest of the three products' A
+            // and B at this shape.
+            const size_t size = static_cast<size_t>(std::max(m, n) * k + offset);
+            ExpectGemmsMatchOracle(level, FuzzFloats(&gen, size),
+                                   FuzzFloats(&gen, size), m, k, n, offset);
+            ExpectGemmsMatchOracle(level, FuzzSpecialFloats(&gen, size),
+                                   FuzzSpecialFloats(&gen, size), m, k, n, offset);
+          }
+        }
+      }
+    }
+    // The wide-int8 FC forward shape: 8x1024 activations against a
+    // 1024x1024 weight, one float off alignment.
+    SCOPED_TRACE(std::string(simd::LevelName(level)) + " 8x1024x1024");
+    const int64_t m = 8, k = 1024, n = 1024;
+    ExpectGemmsMatchOracle(level, FuzzFloats(&gen, n * k + 1),
+                           FuzzFloats(&gen, n * k + 1), m, k, n, /*offset=*/1);
+  }
+}
+
+// Gemm and GemmTransA skip zero entries of A, so 0 * inf never enters a sum:
+// an all-zero A against an all-inf B gives +0.0, not NaN, on every backend.
+TEST(SimdKernelTest, GemmSkipsZeroEntriesOfA) {
+  const int64_t m = 9, k = 17, n = 9;
+  std::vector<float> a(static_cast<size_t>(m * k), 0.0f);
+  for (size_t i = 0; i < a.size(); i += 2) {
+    a[i] = -0.0f;
+  }
+  const std::vector<float> b(static_cast<size_t>(k * n),
+                             std::numeric_limits<float>::infinity());
+  const std::vector<float> zeros(static_cast<size_t>(m * n), 0.0f);
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::ScopedLevel pinned(level);
+    std::vector<float> c(static_cast<size_t>(m * n), DefaultNaN());
+    simd::Gemm(a.data(), b.data(), c.data(), m, k, n);
+    EXPECT_TRUE(BitwiseEqual(c, zeros)) << "gemm";
+    std::fill(c.begin(), c.end(), DefaultNaN());
+    simd::GemmTransA(a.data(), b.data(), c.data(), k, m, n);
+    EXPECT_TRUE(BitwiseEqual(c, zeros)) << "gemm_trans_a";
+  }
+}
+
 // The end-to-end stake in the ground: a full small-cluster training run —
-// quantized gradients, collectives, server applies, SGD — lands on exactly
-// the same losses and final weights with vectorization on and off.
-TEST(SimdTrajectoryTest, TrainerTrajectoryIsDispatchInvariant) {
+// GEMMs, quantized gradients or sufficient factors, server applies, SGD —
+// lands on exactly the same losses and final weights with vectorization on
+// and off. kDense covers the PS path, kSfb the SF reconstruction, kOneBit
+// the 1-bit codec.
+class SimdTrajectoryTest : public ::testing::TestWithParam<PlanPolicy> {};
+
+TEST_P(SimdTrajectoryTest, TrainerTrajectoryIsDispatchInvariant) {
   TrainerOptions options = testing::SmallTrainerOptions();
-  options.fc_policy = PlanPolicy::kOneBit;
+  options.fc_policy = GetParam();
   testing::Trajectory scalar_run, auto_run;
   {
     simd::ScopedLevel pinned(simd::Level::kScalar);
@@ -290,6 +487,13 @@ TEST(SimdTrajectoryTest, TrainerTrajectoryIsDispatchInvariant) {
       << "training trajectory differs between scalar and "
       << simd::LevelName(simd::BestLevel()) << " dispatch";
 }
+
+INSTANTIATE_TEST_SUITE_P(Policies, SimdTrajectoryTest,
+                         ::testing::Values(PlanPolicy::kDense, PlanPolicy::kSfb,
+                                           PlanPolicy::kOneBit),
+                         [](const ::testing::TestParamInfo<PlanPolicy>& info) {
+                           return std::string(PlanPolicyName(info.param));
+                         });
 
 }  // namespace
 }  // namespace poseidon

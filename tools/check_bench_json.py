@@ -39,6 +39,8 @@ MICRO_REQUIRED = {
     "onebit_roundtrip_floats_per_s_simd": 0.0,
     "ring_reduce_floats_per_s_scalar": 0.0,
     "ring_reduce_floats_per_s_simd": 0.0,
+    "gemm_nt_flops_per_s_scalar": 0.0,
+    "gemm_nt_flops_per_s_simd": 0.0,
     "mem_bw_gbps": 0.0,
     # Compressed-PS bytes-vs-loss trajectory (docs/COMPRESSION.md): measured
     # bus egress per codec on a seeded training run, plus the headline
@@ -88,6 +90,14 @@ PLANNER_MIN_BYTES_RATIO = 1.0
 # vector path quietly fell off (dispatch regression, scalar fallback, a
 # de-vectorized kernel) even if every series is still present.
 ONEBIT_SIMD_MIN_RATIO = 4.0
+
+# Minimum speedup of the dispatched FC forward GEMM (A·Bᵀ) over pinned
+# scalar, at each recorded shape, on SIMD hosts only. The gemm_nt series
+# interleave GEMM_NT_SHAPES samples per repeat (perfbench ps-deep's
+# 16x64x64, then wide-int8's 8x1024x1024), so each shape is gated on its own
+# best sample.
+GEMM_NT_SIMD_MIN_RATIO = 2.0
+GEMM_NT_SHAPES = ("16x64x64", "8x1024x1024")
 
 
 def fail(path, message):
@@ -158,9 +168,19 @@ def check_file(path):
                 ok = fail(path, f"onebit simd/scalar speedup {ratio:.2f}x is below "
                                 f"the {ONEBIT_SIMD_MIN_RATIO}x floor "
                                 f"(simd {max(simd):.3g}, scalar {max(scalar):.3g})")
-        elif not simd_available:
+        gemm_scalar = series.get("gemm_nt_flops_per_s_scalar") or []
+        gemm_simd = series.get("gemm_nt_flops_per_s_simd") or []
+        if simd_available and gemm_scalar and gemm_simd:
+            for i, shape in enumerate(GEMM_NT_SHAPES):
+                best_scalar = max(gemm_scalar[i::len(GEMM_NT_SHAPES)], default=0)
+                best_simd = max(gemm_simd[i::len(GEMM_NT_SHAPES)], default=0)
+                if best_scalar <= 0 or best_simd / best_scalar < GEMM_NT_SIMD_MIN_RATIO:
+                    ok = fail(path, f"gemm_nt {shape} simd/scalar speedup is below "
+                                    f"the {GEMM_NT_SIMD_MIN_RATIO}x floor "
+                                    f"(simd {best_simd:.3g}, scalar {best_scalar:.3g})")
+        if not simd_available:
             print(f"{path}: note: no SIMD backend on this host; "
-                  f"skipping the onebit speedup gate")
+                  f"skipping the onebit and gemm_nt speedup gates")
 
     if ok:
         print(f"{path}: ok ({bench}: {len(series)} series)")
