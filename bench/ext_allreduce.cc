@@ -116,17 +116,11 @@ void CostTablePart(const std::vector<int>& workers) {
 }
 
 void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
-                  const std::vector<double>& bandwidths, bool batch_egress) {
-  std::vector<SystemConfig> systems = {
+                  const std::vector<double>& bandwidths) {
+  const std::vector<SystemConfig> systems = {
       CaffePlusWfbp(),       SfbOnlySystem(),       PoseidonSystem(),
       RingAllreduceSystem(), TreeAllreduceSystem(), HybridCollectiveSystem(),
   };
-  for (SystemConfig& system : systems) {
-    system.batch_egress = batch_egress;
-    if (batch_egress) {
-      system.name += "-be";
-    }
-  }
   for (const char* name : {"resnet-152", "vgg19-22k"}) {
     const ModelSpec model = ModelByName(name).value();
     for (double gbps : bandwidths) {
@@ -166,13 +160,6 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
       std::printf("  %s x%d", scheme.c_str(), count);
     }
     std::printf("\n\n");
-    if (batch_egress) {
-      std::printf("%s\n",
-                  FormatBatchAblation("Egress-batcher ablation: ring allreduce", model,
-                                      RingAllreduceSystem(), nodes, cluster.nic_gbps,
-                                      Engine::kCaffe)
-                      .c_str());
-    }
   }
 }
 
@@ -184,7 +171,7 @@ int main(int argc, char** argv) {
   poseidon::InitBenchTelemetry(args);
   const std::vector<int> nodes = args.NodesOr({2, 4, 8, 16, 32, 64});
   poseidon::CostTablePart(nodes);
-  poseidon::SimSweepPart(args, nodes, args.GbpsOr({10.0, 40.0}), args.batch_egress);
+  poseidon::SimSweepPart(args, nodes, args.GbpsOr({10.0, 40.0}));
   poseidon::FinishBenchTelemetry(args);
   return 0;
 }

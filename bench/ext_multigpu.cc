@@ -27,10 +27,8 @@ void Run(const BenchArgs& args) {
       cluster.num_nodes = nodes;
       cluster.nic_gbps = gbps;
       cluster.gpus_per_node = gpus;
-      SystemConfig system = PoseidonSystem();
-      system.batch_egress = args.batch_egress;  // --batch-egress ablation knob
       const SimResult result =
-          RunProtocolSimulation(model, system, cluster, Engine::kCaffe);
+          RunProtocolSimulation(model, PoseidonSystem(), cluster, Engine::kCaffe);
       table.AddRow({model.name, std::to_string(nodes), std::to_string(gpus),
                     std::to_string(nodes * gpus), TextTable::Num(result.speedup, 1)});
     }

@@ -124,7 +124,7 @@ void CostTablePart(const std::vector<int>& workers, const std::vector<int>& shar
 
 void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
                   const std::vector<double>& bandwidths, const std::vector<int>& shards,
-                  const std::vector<int>& staleness, bool batch_egress) {
+                  const std::vector<int>& staleness) {
   std::vector<SystemConfig> systems;
   for (int s : shards) {
     systems.push_back(ShardedPsSystem(s, /*staleness=*/0));
@@ -135,12 +135,6 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
     }
   }
   systems.push_back(PoseidonSystem());
-  for (SystemConfig& system : systems) {
-    system.batch_egress = batch_egress;
-    if (batch_egress) {
-      system.name += "-be";
-    }
-  }
 
   const ModelSpec model = ModelByName("vgg19").value();
   for (double gbps : bandwidths) {
@@ -158,12 +152,6 @@ void SimSweepPart(const BenchArgs& args, const std::vector<int>& nodes,
       FormatPlanSummary(args, model, nodes.back(), bandwidths.front());
   if (!plan_summary.empty()) {
     std::printf("%s\n", plan_summary.c_str());
-  }
-  if (batch_egress) {
-    std::printf("%s\n", FormatBatchAblation("Egress-batcher ablation: sharded PS", model,
-                                            ShardedPsSystem(shards.back(), 0), nodes,
-                                            bandwidths.front(), Engine::kCaffe)
-                            .c_str());
   }
 }
 
@@ -214,7 +202,7 @@ int main(int argc, char** argv) {
     bandwidths.push_back(measured_gbps);
   }
   poseidon::CostTablePart(nodes, shards);
-  poseidon::SimSweepPart(args, nodes, bandwidths, shards, staleness, args.batch_egress);
+  poseidon::SimSweepPart(args, nodes, bandwidths, shards, staleness);
   poseidon::StragglerPart(nodes, bandwidths.front(), staleness);
   poseidon::FinishBenchTelemetry(args, &record);
   return 0;

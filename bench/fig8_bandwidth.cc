@@ -37,17 +37,9 @@ void Run(const BenchArgs& args, double measured_gbps) {
   SystemConfig poseidon_sys = PoseidonSystem();
   ps.shards_per_server = shards;
   poseidon_sys.shards_per_server = shards;
-  // --batch-egress: same-destination wire messages share one frame (the
-  // transport's egress batcher, modeled); ablation table printed below.
-  ps.batch_egress = args.batch_egress;
-  poseidon_sys.batch_egress = args.batch_egress;
   if (shards > 1) {
     ps.name += "-s" + std::to_string(shards);
     poseidon_sys.name += "-s" + std::to_string(shards);
-  }
-  if (args.batch_egress) {
-    ps.name += "-be";
-    poseidon_sys.name += "-be";
   }
   const std::vector<Config> configs = {
       {"googlenet", {2.0, 5.0, 10.0}},
@@ -61,7 +53,7 @@ void Run(const BenchArgs& args, double measured_gbps) {
       sweep.push_back(measured_gbps);
     }
     for (double gbps : sweep) {
-      // --plan=auto|fixed: replaces the hand-picked shard/batching stack
+      // --plan=auto|fixed: replaces the hand-picked shard configuration
       // above with the CommPlanner's (or the dumped plan's) configuration.
       const auto results = RunPlannedScalingSweep(args, model, {ps, poseidon_sys}, nodes,
                                                   gbps, Engine::kCaffe);
@@ -74,13 +66,6 @@ void Run(const BenchArgs& args, double measured_gbps) {
         FormatPlanSummary(args, model, nodes.back(), sweep.front());
     if (!plan_summary.empty()) {
       std::printf("%s\n", plan_summary.c_str());
-    }
-    if (args.batch_egress) {
-      std::printf("%s\n",
-                  FormatBatchAblation("Egress-batcher ablation: " + model.name, model, ps,
-                                      nodes, args.GbpsOr(config.gbps).front(),
-                                      Engine::kCaffe)
-                      .c_str());
     }
   }
 }

@@ -162,12 +162,10 @@ BENCHMARK(BM_BusRoundTrip);
 // ------------------------------------------------------------- wire path ----
 //
 // End-to-end accounting for the zero-copy wire layer: floats staged, staging
-// copies, and wire messages per training iteration, per scheme, with and
-// without egress batching (arg 1 = batched). Counters:
+// copies, and wire messages per training iteration, per scheme. Counters:
 //   floats/iter   measured staging-copy floats per iteration (WireCopyStats)
 //   copies/iter   measured staging-copy operations per iteration
-//   msgs/iter     wire frames per iteration (a delivered batch counts once)
-//   logical/iter  pre-batching message count per iteration
+//   msgs/iter     wire messages per iteration, summed over nodes
 //   before_floats pre-refactor copy model for the same run (see below)
 //   copy_reduction before_floats / floats-per-iter
 //
@@ -183,12 +181,11 @@ struct WirePathCounters {
   double floats_per_iter = 0.0;
   double copies_per_iter = 0.0;
   double msgs_per_iter = 0.0;
-  double logical_per_iter = 0.0;
   double model_floats = 0.0;  // total trainable floats, from the model itself
 };
 
 WirePathCounters RunWirePath(PlanPolicy policy, int workers, int hidden_layers,
-                             bool batch, int iters) {
+                             int iters) {
   DatasetConfig data;
   data.num_classes = 3;
   data.channels = 1;
@@ -208,15 +205,12 @@ WirePathCounters RunWirePath(PlanPolicy policy, int workers, int hidden_layers,
   options.batch_per_worker = 4;
   options.fc_policy = policy;
   options.kv_pair_bytes = 1024;
-  options.batch_egress = batch;
   PoseidonTrainer trainer(factory, options);
 
   trainer.Train(dataset, 2);  // warm up staging slabs
-  trainer.bus().FlushEgress();
   WireCopyStats::Reset();
   trainer.bus().ResetTraffic();
   trainer.Train(dataset, iters);
-  trainer.bus().FlushEgress();
 
   WirePathCounters counters;
   for (auto& layer_params : trainer.worker_net(0).LayerParams()) {
@@ -229,23 +223,18 @@ WirePathCounters RunWirePath(PlanPolicy policy, int workers, int hidden_layers,
   for (int64_t m : trainer.bus().TxMessages()) {
     counters.msgs_per_iter += static_cast<double>(m) / iters;
   }
-  for (int64_t e : trainer.bus().TxEntries()) {
-    counters.logical_per_iter += static_cast<double>(e) / iters;
-  }
   return counters;
 }
 
 void WirePathBench(benchmark::State& state, PlanPolicy policy, int hidden_layers) {
-  const bool batch = state.range(0) != 0;
   const int workers = 2;
   WirePathCounters counters;
   for (auto _ : state) {
-    counters = RunWirePath(policy, workers, hidden_layers, batch, /*iters=*/4);
+    counters = RunWirePath(policy, workers, hidden_layers, /*iters=*/4);
   }
   state.counters["floats/iter"] = counters.floats_per_iter;
   state.counters["copies/iter"] = counters.copies_per_iter;
   state.counters["msgs/iter"] = counters.msgs_per_iter;
-  state.counters["logical/iter"] = counters.logical_per_iter;
   if (policy == PlanPolicy::kDense) {
     // Pre-refactor model (see comment above), anchored on the model's own
     // parameter count T so the ratio is a real measurement: the old path
@@ -258,21 +247,21 @@ void WirePathBench(benchmark::State& state, PlanPolicy policy, int hidden_layers
   }
 }
 
-// 20-layer MLP on the PS path: the batcher's headline case.
+// 20-layer MLP on the PS path: many small dependent syncs per iteration.
 void BM_WirePathPs20Layer(benchmark::State& state) {
   WirePathBench(state, PlanPolicy::kDense, /*hidden_layers=*/18);
 }
-BENCHMARK(BM_WirePathPs20Layer)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WirePathPs20Layer)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathSfb(benchmark::State& state) {
   WirePathBench(state, PlanPolicy::kSfb, /*hidden_layers=*/2);
 }
-BENCHMARK(BM_WirePathSfb)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WirePathSfb)->Unit(benchmark::kMillisecond);
 
 void BM_WirePathOneBit(benchmark::State& state) {
   WirePathBench(state, PlanPolicy::kOneBit, /*hidden_layers=*/2);
 }
-BENCHMARK(BM_WirePathOneBit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WirePathOneBit)->Unit(benchmark::kMillisecond);
 
 // Codec round trips in isolation (encode + decode, no trainer).
 void BM_CodecSfRoundTrip(benchmark::State& state) {
@@ -442,7 +431,7 @@ void RecordWirePath(const char* prefix, PlanPolicy policy, int hidden_layers,
                     BenchRecord* record) {
   const int workers = 2;
   const WirePathCounters counters =
-      RunWirePath(policy, workers, hidden_layers, /*batch=*/true, /*iters=*/4);
+      RunWirePath(policy, workers, hidden_layers, /*iters=*/4);
   const std::string p(prefix);
   record->Append(p + "_floats_per_iter", counters.floats_per_iter);
   record->Append(p + "_copies_per_iter", counters.copies_per_iter);

@@ -13,7 +13,6 @@
 #include "src/planner/comm_plan.h"
 #include "src/planner/comm_planner.h"
 #include "src/planner/plan_cache.h"
-#include "src/transport/bus.h"
 
 namespace poseidon {
 namespace {
@@ -112,32 +111,6 @@ void Run(const BenchArgs& args) {
   std::printf("%s\n", table.ToString().c_str());
 
   PlanPart(args, args.NodesOr({2, 4, 16, 32}));
-
-  if (args.batch_egress) {
-    // Wire-message companion to the float-cost table: per iteration a
-    // worker's PS path sends one push per (layer, shard endpoint). The
-    // egress batcher keys frames on the destination *node* — all of a
-    // server's shard endpoints share frames — and cuts a frame every
-    // max_batch_messages (default 16) entries, so the per-worker egress
-    // drops from L*P2*S messages to P2 * ceil(L*S / max_batch_messages).
-    // (Assumes pushes small enough that the byte cut does not bite; huge
-    // layers cut frames earlier and land between the two columns.)
-    const int kMaxBatchMessages = EgressBatchOptions{}.max_batch_messages;
-    std::printf("Egress batching (modeled): per-worker PS push messages per iteration\n");
-    TextTable msgs({"layers", "servers", "shards", "msgs", "msgs(batched)", "reduction"});
-    for (int layers : {8, 20, 50}) {
-      for (int servers : {8, 16}) {
-        const int plain = layers * servers * shards;
-        const int batched =
-            servers * ((layers * shards + kMaxBatchMessages - 1) / kMaxBatchMessages);
-        msgs.AddRow({std::to_string(layers), std::to_string(servers),
-                     std::to_string(shards), std::to_string(plain),
-                     std::to_string(batched),
-                     TextTable::Num(static_cast<double>(plain) / batched, 1) + "x"});
-      }
-    }
-    std::printf("%s\n", msgs.ToString().c_str());
-  }
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 #include "src/cluster/protocol_sim.h"
 
-#include "src/transport/bus.h"
-
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "src/collective/topology.h"
 #include "src/common/logging.h"
@@ -14,6 +11,7 @@
 #include "src/planner/plan_cache.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
+#include "src/transport/message.h"
 
 namespace poseidon {
 namespace {
@@ -265,7 +263,6 @@ class ProtocolSim {
     }
     iter_start_.assign(total_iters_, -1.0);
     wire_msgs_.assign(num_nodes_, 0);
-    logical_msgs_.assign(num_nodes_, 0);
     node_busy_at_begin_.assign(num_nodes_, 0.0);
     node_busy_at_end_.assign(num_nodes_, 0.0);
   }
@@ -315,21 +312,6 @@ class ProtocolSim {
     if (n == 0) {
       CHECK_LT(node.iter, total_iters_);
       iter_start_[node.iter] = sim_.Now();
-      // Frame groups of long-finished iterations can never match again
-      // (keys embed the iteration); prune them so the map stays bounded.
-      const int64_t done_iter =
-          static_cast<int64_t>(node.iter) - system_.staleness - 2;
-      if (system_.batch_egress && done_iter > 0) {
-        const int64_t cutoff =
-            done_iter * 4096 * num_nodes_ * num_nodes_;
-        for (auto it = frame_groups_.begin(); it != frame_groups_.end();) {
-          if (it->first < cutoff) {
-            it = frame_groups_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
       if (node.iter == options_.warmup_iters) {
         SnapshotTraffic(&traffic_begin_);
         for (int i = 0; i < num_nodes_; ++i) {
@@ -442,50 +424,16 @@ class ProtocolSim {
 
   // All modeled wire traffic funnels through here so framing overhead and
   // message counts mirror the real transport (src/transport/message.h):
-  // every message pays kWireFrameBytes, unless egress batching is on, in
-  // which case same-(src, dst, iter) messages share one frame and pay only
-  // the per-entry header after the first.
-  // `frame_tag` separates sends that can never share a frame in the real
-  // batcher because they are causally ordered (e.g. successive ring hops:
-  // hop s+1 is only produced after hop s was received, so only same-step
-  // hops of different layers coalesce). Frames are cut by the same
-  // message-count and byte thresholds as the real batcher (its defaults),
-  // so large layers that overflow max_batch_bytes get no modeled merging
-  // the transport could not deliver.
-  void WireSend(int src, int dst, double payload_bytes, int iter,
-                std::function<void()> done, int frame_tag = 0) {
+  // every message is its own frame and pays kWireFrameBytes.
+  void WireSend(int src, int dst, double payload_bytes, std::function<void()> done) {
     if (src == dst) {
       // Loopback: the real bus bypasses the NIC for local traffic and
       // excludes it from framing and message accounting; mirror that.
       fabric_->Send(src, dst, payload_bytes, std::move(done));
       return;
     }
-    double framed = payload_bytes;
-    if (system_.batch_egress) {
-      static const EgressBatchOptions kModeledBatch;  // the real defaults
-      const int64_t key =
-          ((static_cast<int64_t>(iter) * 4096 + frame_tag) * num_nodes_ + src) *
-              num_nodes_ +
-          dst;
-      FrameGroup& group = frame_groups_[key];
-      framed += static_cast<double>(kBatchEntryHeaderBytes);
-      if (group.entries == 0) {
-        // First entry of a (possibly continuation) frame: pay the frame
-        // header, count one wire message.
-        framed += static_cast<double>(kWireFrameBytes);
-        ++wire_msgs_[static_cast<size_t>(src)];
-      }
-      ++group.entries;
-      group.bytes += static_cast<double>(kBatchEntryHeaderBytes) + payload_bytes;
-      if (group.entries >= kModeledBatch.max_batch_messages ||
-          group.bytes >= static_cast<double>(kModeledBatch.max_batch_bytes)) {
-        group = FrameGroup{};  // frame cut; the next send opens a new one
-      }
-    } else {
-      framed += static_cast<double>(kWireFrameBytes);
-      ++wire_msgs_[static_cast<size_t>(src)];
-    }
-    ++logical_msgs_[static_cast<size_t>(src)];
+    double framed = payload_bytes + static_cast<double>(kWireFrameBytes);
+    ++wire_msgs_[static_cast<size_t>(src)];
     if (system_.loss_rate > 0.0) {
       // Reliable link layer over a lossy wire, in expectation: the message
       // is transmitted 1/(1-p) times (bytes inflate) and arrives late by the
@@ -532,11 +480,11 @@ class ProtocolSim {
       case PlannedScheme::kOneBit:
         if (wire.sharded) {
           for (int s = 0; s < num_nodes_; ++s) {
-            WireSend(n, s, wire.push_bytes, iter,
+            WireSend(n, s, wire.push_bytes,
                      [this, layer, iter, s] { OnPushArrived(layer, iter, s); });
           }
         } else {
-          WireSend(n, wire.owner, wire.push_bytes, iter,
+          WireSend(n, wire.owner, wire.push_bytes,
                    [this, layer, iter, owner = wire.owner] {
                      OnPushArrived(layer, iter, owner);
                    });
@@ -548,13 +496,13 @@ class ProtocolSim {
             OnSfArrived(peer, layer, iter, /*local=*/true);
             continue;
           }
-          WireSend(n, peer, wire.sf_msg_bytes, iter, [this, peer, layer, iter] {
+          WireSend(n, peer, wire.sf_msg_bytes, [this, peer, layer, iter] {
             OnSfArrived(peer, layer, iter, /*local=*/false);
           });
         }
         break;
       case PlannedScheme::kAdamSf:
-        WireSend(n, wire.owner, wire.sf_msg_bytes, iter,
+        WireSend(n, wire.owner, wire.sf_msg_bytes,
                  [this, layer, iter, owner = wire.owner] {
                    OnPushArrived(layer, iter, owner);
                  });
@@ -565,11 +513,10 @@ class ProtocolSim {
         LayerSyncState& state = sync_[iter][layer];
         state.collective_started[n] = true;
         WireSend(
-            n, RingNext(n, num_nodes_), wire.push_bytes, iter,
+            n, RingNext(n, num_nodes_), wire.push_bytes,
             [this, layer, iter, next = RingNext(n, num_nodes_)] {
               OnRingHopArrived(layer, iter, next);
-            },
-            /*frame_tag=*/1);
+            });
         DrainRingHops(layer, iter, n);
         break;
       }
@@ -610,11 +557,10 @@ class ProtocolSim {
     auto forward = [this, layer, iter, node, step, last_step] {
       if (step < last_step) {
         WireSend(
-            node, RingNext(node, num_nodes_), wires_[layer].push_bytes, iter,
+            node, RingNext(node, num_nodes_), wires_[layer].push_bytes,
             [this, layer, iter, next = RingNext(node, num_nodes_)] {
               OnRingHopArrived(layer, iter, next);
-            },
-            /*frame_tag=*/2 + step);
+            });
       } else {
         CompleteCollective(layer, iter, node);
       }
@@ -647,7 +593,7 @@ class ProtocolSim {
       if (node == 0) {
         OnTreeBroadcastArrived(layer, iter, 0);  // root holds the global sum
       } else {
-        WireSend(node, TreeParent(node), wires_[layer].push_bytes, iter,
+        WireSend(node, TreeParent(node), wires_[layer].push_bytes,
                  [this, layer, iter, parent = TreeParent(node)] {
                    OnTreeReduceArrived(layer, iter, parent);
                  });
@@ -657,7 +603,7 @@ class ProtocolSim {
 
   void OnTreeBroadcastArrived(int layer, int iter, int node) {
     for (int child : TreeChildren(node, num_nodes_)) {
-      WireSend(node, child, wires_[layer].push_bytes, iter, [this, layer, iter, child] {
+      WireSend(node, child, wires_[layer].push_bytes, [this, layer, iter, child] {
         OnTreeBroadcastArrived(layer, iter, child);
       });
     }
@@ -725,17 +671,15 @@ class ProtocolSim {
     if (wire.sharded) {
       for (int s = 0; s < num_nodes_; ++s) {
         WireSend(
-            n, s, 0.0, iter,
-            [this, layer, iter, s, n] { OnPullRequest(layer, iter, s, n); },
-            /*frame_tag=*/4000);
+            n, s, 0.0,
+            [this, layer, iter, s, n] { OnPullRequest(layer, iter, s, n); });
       }
     } else {
       WireSend(
-          n, wire.owner, 0.0, iter,
+          n, wire.owner, 0.0,
           [this, layer, iter, owner = wire.owner, n] {
             OnPullRequest(layer, iter, owner, n);
-          },
-          /*frame_tag=*/4000);
+          });
     }
   }
 
@@ -755,7 +699,7 @@ class ProtocolSim {
       return;
     }
     shard.sent[w] = true;
-    WireSend(s, w, wires_[layer].pull_bytes, iter,
+    WireSend(s, w, wires_[layer].pull_bytes,
              [this, layer, iter, w] { OnPullArrived(layer, iter, w); });
   }
 
@@ -840,14 +784,12 @@ class ProtocolSim {
     std::vector<double> tx;
     std::vector<double> rx;
     std::vector<int64_t> wire_msgs;
-    std::vector<int64_t> logical_msgs;
   };
 
   void SnapshotTraffic(TrafficSnapshot* snap) {
     snap->tx = fabric_->stats().tx_bytes;
     snap->rx = fabric_->stats().rx_bytes;
     snap->wire_msgs = wire_msgs_;
-    snap->logical_msgs = logical_msgs_;
   }
 
   SimResult Collect() {
@@ -880,7 +822,6 @@ class ProtocolSim {
     result.tx_gbits_per_iter.resize(num_nodes_);
     result.rx_gbits_per_iter.resize(num_nodes_);
     result.wire_msgs_per_iter.resize(num_nodes_);
-    result.logical_msgs_per_iter.resize(num_nodes_);
     for (int n = 0; n < num_nodes_; ++n) {
       result.tx_gbits_per_iter[n] =
           BytesToGigabits(traffic_end_.tx[n] - traffic_begin_.tx[n]) / m;
@@ -889,10 +830,6 @@ class ProtocolSim {
       result.wire_msgs_per_iter[n] = static_cast<double>(traffic_end_.wire_msgs[n] -
                                                          traffic_begin_.wire_msgs[n]) /
                                      m;
-      result.logical_msgs_per_iter[n] =
-          static_cast<double>(traffic_end_.logical_msgs[n] -
-                              traffic_begin_.logical_msgs[n]) /
-          m;
     }
 
     for (int l = 0; l < num_layers_; ++l) {
@@ -938,14 +875,7 @@ class ProtocolSim {
   std::vector<std::vector<LayerSyncState>> sync_;  // [iter][layer]
 
   std::vector<double> iter_start_;  // node 0's forward start per iteration
-  std::vector<int64_t> wire_msgs_;     // per node, cumulative wire frames
-  std::vector<int64_t> logical_msgs_;  // per node, cumulative messages
-  /// One modeled open frame per (iter, tag, src, dst) group.
-  struct FrameGroup {
-    int entries = 0;
-    double bytes = 0.0;
-  };
-  std::unordered_map<int64_t, FrameGroup> frame_groups_;
+  std::vector<int64_t> wire_msgs_;  // per node, cumulative wire frames
   TrafficSnapshot traffic_begin_;
   TrafficSnapshot traffic_end_;
   std::vector<double> node_busy_at_begin_;

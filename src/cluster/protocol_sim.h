@@ -59,11 +59,8 @@ struct SimResult {
   std::vector<double> tx_gbits_per_iter;
   std::vector<double> rx_gbits_per_iter;
 
-  // Per-node wire frames per iteration. With SystemConfig::batch_egress a
-  // node's same-destination messages within one iteration share a frame, so
-  // wire_msgs < logical_msgs; without batching the two are equal.
+  // Per-node wire frames (one per message) per iteration.
   std::vector<double> wire_msgs_per_iter;
-  std::vector<double> logical_msgs_per_iter;
 
   // layer name -> scheme actually used ("PS", "SFB", "SF->PS" for Adam,
   // "1bit").

@@ -136,7 +136,6 @@ SystemConfig PlannedSystem(std::shared_ptr<const CommPlan> plan) {
   config.name = "Planned";
   config.shards_per_server = plan->ps_shards;
   config.staleness = plan->staleness;
-  config.batch_egress = plan->batch_egress;
   config.topk_density = plan->topk_density;
   config.plan = std::move(plan);
   return config;

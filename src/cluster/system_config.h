@@ -70,11 +70,6 @@ struct SystemConfig {
   // (BSP). Hides stragglers and sync-tail latency at the cost of stale
   // gradients; 0 reproduces BSP timing exactly.
   int staleness = 0;
-  // Per-destination egress batching (the transport's batcher, modeled): a
-  // node's same-destination messages within one iteration share one wire
-  // frame, cutting per-message framing overhead and the message count the
-  // simulation reports. Payload bytes and protocol timing are unchanged.
-  bool batch_egress = false;
   // ---- fault model (mirrors the live transport's fault fabric; see
   // docs/FAULT_TOLERANCE.md). The modeled link layer is reliable: a lost
   // message is retransmitted, so loss costs time and bytes, never data.
@@ -95,8 +90,8 @@ struct SystemConfig {
   double topk_density = 0.01;
   int64_t compression_min_floats = kCompressionMinFloats;
   // ---- An explicit CommPlan (PlannedSystem). Its assignments, looked up by
-  // layer name, override the policy/codec plan above; shards/staleness/
-  // batching were copied from it by PlannedSystem(). Layers it does not name
+  // layer name, override the policy/codec plan above; shards/staleness
+  // were copied from it by PlannedSystem(). Layers it does not name
   // keep the policy/codec plan's assignment.
   std::shared_ptr<const CommPlan> plan;
 };
@@ -122,8 +117,8 @@ SystemConfig SspPoseidonSystem(int staleness, int shards = 1);
 // by the byte rows); topk density as configured.
 SystemConfig CompressedPsSystem(PlanCodecPolicy codec, double topk_density = 0.01);
 // WFBP system driven by a CommPlan: per-layer schemes/codecs from the plan's
-// assignments, shard count / staleness / egress batching / top-k density from
-// its global knobs. This is what `--plan=auto` and `--plan=fixed:<path>`
+// assignments, shard count / staleness / top-k density from its global
+// knobs. This is what `--plan=auto` and `--plan=fixed:<path>`
 // simulate.
 SystemConfig PlannedSystem(std::shared_ptr<const CommPlan> plan);
 

@@ -47,8 +47,6 @@ void Usage(const char* argv0) {
       "  --fast   smoke subset: first two node counts, first bandwidth,\n"
       "           reduced iterations where applicable\n"
       "  --full   paper-sized configuration (where the bench has one)\n"
-      "  --batch-egress  coalesce same-destination wire messages (egress\n"
-      "           batcher ablation, where the bench supports it)\n"
       "  --transport=inproc|tcp|unix  bus backend; tcp/unix add a live\n"
       "           loopback socket-bandwidth measurement (supported benches)\n"
       "  --fault-loss=P1,P2,...     per-message loss rates to sweep\n"
@@ -181,8 +179,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
       args.fast = true;
     } else if (arg == "--full") {
       args.full = true;
-    } else if (arg == "--batch-egress") {
-      args.batch_egress = true;
     } else if (arg.rfind("--transport", 0) == 0) {
       args.transport = value_of("--transport");
       if (args.transport != "inproc" && args.transport != "tcp" &&

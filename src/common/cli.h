@@ -7,8 +7,6 @@
 //   --fast          smoke mode: truncate default sweeps (and iteration
 //                   counts, where a bench honours it) to a quick subset
 //   --full          paper-sized configuration (fig11's 32x32 CIFAR run)
-//   --batch-egress  coalesce same-destination wire messages (ablates the
-//                   transport's egress batcher in the supported benches)
 //   --transport=inproc|tcp|unix  bus backend: socket choices add a live
 //                   loopback bandwidth measurement (supported benches)
 //   --fault-loss=0.001,0.01     per-message loss rates to sweep (fault-model
@@ -39,10 +37,6 @@ struct BenchArgs {
   std::vector<int> shards;
   bool fast = false;
   bool full = false;
-  // --batch-egress: enable per-destination egress batching in the modeled
-  // wire accounting (and the threaded runtime where a bench uses it), so
-  // the batcher's message-count/framing effect can be ablated.
-  bool batch_egress = false;
   // --transport=inproc|tcp|unix: which bus backend the bench exercises.
   // "inproc" (default) keeps the modeled/in-memory path; "tcp"/"unix" add a
   // live loopback socket-bandwidth measurement next to the modeled sweep

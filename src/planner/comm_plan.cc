@@ -150,7 +150,6 @@ uint64_t CommPlan::ComputeHash() const {
   h = FnvString(h, signature);
   h = FnvU64(h, static_cast<uint64_t>(ps_shards));
   h = FnvU64(h, static_cast<uint64_t>(staleness));
-  h = FnvU64(h, batch_egress ? 1 : 0);
   h = FnvDouble(h, topk_density);
   h = FnvU64(h, layers.size());
   for (const PlanLayerChoice& choice : layers) {
@@ -184,7 +183,6 @@ std::string CommPlan::ToJson() const {
   out += "\",\n";
   out += "  \"ps_shards\": " + std::to_string(ps_shards) + ",\n";
   out += "  \"staleness\": " + std::to_string(staleness) + ",\n";
-  out += "  \"batch_egress\": " + std::string(batch_egress ? "true" : "false") + ",\n";
   out += "  \"topk_density\": " + FormatDouble(topk_density) + ",\n";
   out += "  \"predicted_wire_bytes\": " + FormatDouble(predicted_wire_bytes) + ",\n";
   out += "  \"predicted_framing_bytes\": " + FormatDouble(predicted_framing_bytes) + ",\n";
@@ -234,9 +232,6 @@ StatusOr<CommPlan> CommPlan::FromJson(const std::string& json) {
   plan.ps_shards = static_cast<int>(value);
   POSEIDON_PLAN_FIELD(scan.Number("staleness"), value);
   plan.staleness = static_cast<int>(value);
-  std::string flag;
-  POSEIDON_PLAN_FIELD(scan.Raw("batch_egress"), flag);
-  plan.batch_egress = flag == "true";
   POSEIDON_PLAN_FIELD(scan.Number("topk_density"), plan.topk_density);
   POSEIDON_PLAN_FIELD(scan.Number("predicted_wire_bytes"), plan.predicted_wire_bytes);
   POSEIDON_PLAN_FIELD(scan.Number("predicted_framing_bytes"),
@@ -311,8 +306,7 @@ StatusOr<CommPlan> CommPlan::LoadFromFile(const std::string& path) {
 std::string CommPlan::Summary() const {
   std::ostringstream out;
   out << "plan " << model << " (shards=" << ps_shards << " staleness=" << staleness
-      << " batch_egress=" << (batch_egress ? 1 : 0) << " bytes/iter="
-      << predicted_wire_bytes << ")\n";
+      << " bytes/iter=" << predicted_wire_bytes << ")\n";
   for (const PlanLayerChoice& choice : layers) {
     if (choice.scheme == PlannedScheme::kNone) {
       continue;

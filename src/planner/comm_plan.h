@@ -1,7 +1,7 @@
 /// \file
 /// The immutable output of the CommPlanner: per-layer communication
-/// assignments plus the global knobs (shard count, staleness bound, egress
-/// batching, top-k density) and the predicted cost breakdown they were chosen
+/// assignments plus the global knobs (shard count, staleness bound, top-k
+/// density) and the predicted cost breakdown they were chosen
 /// under. A CommPlan is a pure value — once built it never changes, so it can
 /// be shared by pointer between the trainer, the protocol simulator and the
 /// bench harnesses, memoized in the PlanCache, and round-tripped through JSON
@@ -41,22 +41,25 @@ struct CommPlan {
   // Global knobs.
   int ps_shards = 1;
   int staleness = 0;
-  bool batch_egress = false;
   double topk_density = 0.01;
+  /// Inert, always false: the runtime has no egress batcher. Kept only
+  /// because the end-to-end benchmark driver (perfbench/driver.cc) reads it;
+  /// it is not serialized and does not feed `hash`.
+  bool batch_egress = false;
 
   // Per-layer assignments, in the model's layer order.
   std::vector<PlanLayerChoice> layers;
 
   // Predicted cost breakdown for the busiest worker, per iteration.
   double predicted_wire_bytes = 0.0;    // payload, summed over layers
-  double predicted_framing_bytes = 0.0; // per-message framing after batching
-  double predicted_msgs = 0.0;          // wire messages after batching
+  double predicted_framing_bytes = 0.0; // kWireFrameBytes per message
+  double predicted_msgs = 0.0;          // wire messages (one frame each)
   double predicted_time_s = 0.0;        // 0 when planned on the byte basis
   double planned_gbps = 0.0;            // bandwidth the plan was costed at
 
   uint64_t hash = 0;
 
-  /// FNV-1a over every field above except `hash` itself.
+  /// FNV-1a over every field above except `batch_egress` and `hash` itself.
   uint64_t ComputeHash() const;
 
   /// Canonical JSON dump (stable field order, %.17g doubles — regenerating an

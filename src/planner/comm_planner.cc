@@ -1,7 +1,6 @@
 #include "src/planner/comm_planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -160,7 +159,7 @@ CommCostQuery QueryFor(const LayerSpec& layer, const PlanRequest& r, int shards)
   return q;
 }
 
-/// Rough per-worker wire-message count for the framing/batching model (not
+/// Per-worker wire-message count for the framing and latency model (not
 /// part of the gated payload series; see docs/PLANNER.md).
 double MessagesFor(PlannedScheme scheme, const LayerSpec& layer, const PlanRequest& r,
                    int shards) {
@@ -520,8 +519,8 @@ GradCompression PaperCodec(const LayerSpec& layer, const PlanRequest& r) {
 
 // -------------------------------------------------------------- assembly --
 
-/// Fills the plan's framing/batching model and (time basis) the staleness
-/// choice + predicted time from the finished per-layer assignments.
+/// Fills the plan's framing model and (time basis) the staleness choice +
+/// predicted time from the finished per-layer assignments.
 void FinishPlan(const PlanRequest& r, const CostBasis& basis, CommPlan* plan) {
   double payload = 0.0;
   double msgs = 0.0;
@@ -537,25 +536,9 @@ void FinishPlan(const PlanRequest& r, const CostBasis& basis, CommPlan* plan) {
     }
   }
   plan->predicted_wire_bytes = payload;
-
-  // Framing model: every wire frame pays kWireFrameBytes; a batched frame
-  // pays it once for up to batch_max_messages entries, each entry paying the
-  // chunk header instead. Destinations bound the achievable coalescing.
-  const double destinations =
-      std::max(1, std::max(r.num_workers, r.num_servers) - 1);
-  const double frames_batched =
-      std::max(destinations, std::ceil(msgs / std::max(1, r.batch_max_messages)));
-  const double framing_unbatched = msgs * kWireFrameBytes;
-  const double framing_batched =
-      frames_batched * kWireFrameBytes + msgs * kWireChunkHeaderBytes;
-  if (r.joint && r.allow_batching) {
-    plan->batch_egress = framing_batched < framing_unbatched;
-  } else {
-    plan->batch_egress = r.batch_egress;
-  }
-  plan->predicted_msgs = plan->batch_egress ? frames_batched : msgs;
-  plan->predicted_framing_bytes =
-      plan->batch_egress ? framing_batched : framing_unbatched;
+  // Every message is its own wire frame and pays kWireFrameBytes.
+  plan->predicted_msgs = msgs;
+  plan->predicted_framing_bytes = msgs * kWireFrameBytes;
 
   plan->staleness = r.staleness;
   plan->planned_gbps = r.nic_gbps;
@@ -647,8 +630,6 @@ PlanKey PlanRequestKey(const PlanRequest& r) {
   d.Put(static_cast<uint64_t>(r.paper_eval_shards));
   d.Put(static_cast<uint64_t>(r.staleness));
   d.Put(static_cast<uint64_t>(r.max_staleness));
-  d.Put((r.batch_egress ? 2ULL : 0ULL) | (r.allow_batching ? 1ULL : 0ULL));
-  d.Put(static_cast<uint64_t>(r.batch_max_messages));
   d.Put(static_cast<uint64_t>(r.policy));
   d.Put(static_cast<uint64_t>(r.codec));
   d.PutDouble(r.topk_density);
@@ -688,9 +669,6 @@ std::string PlanRequestSignature(const PlanRequest& r) {
   s += "|evalsh=" + std::to_string(r.paper_eval_shards);
   s += "|stale=" + std::to_string(r.staleness);
   s += "|maxstale=" + std::to_string(r.max_staleness);
-  s += std::string("|batch=") + (r.batch_egress ? "1" : "0");
-  s += std::string("|allowbatch=") + (r.allow_batching ? "1" : "0");
-  s += "|bmax=" + std::to_string(r.batch_max_messages);
   s += std::string("|pol=") + PlanPolicyName(r.policy);
   s += std::string("|codec=") + PlanCodecPolicyName(r.codec);
   s += "|dens=" + Fmt(r.topk_density);
@@ -815,7 +793,6 @@ PlanRequest JointAutoRequest(const ModelSpec& model, int num_nodes, double nic_g
   req.batch_per_worker = model.default_batch;
   req.nic_gbps = nic_gbps;
   req.max_shards = max_shards;
-  req.allow_batching = true;
   req.policy = PlanPolicy::kAuto;
   req.codec = PlanCodecPolicy::kAuto;
   req.topk_density = topk_density;

@@ -1,7 +1,7 @@
 /// \file
 /// CommPlanner: cost-model-driven search over the joint per-layer
-/// communication space — scheme x KV shard count x wire codec x egress
-/// batching x SSP staleness — against the byte- and time-basis rows of
+/// communication space — scheme x KV shard count x wire codec x SSP
+/// staleness — against the byte- and time-basis rows of
 /// src/models/comm_cost.h.
 ///
 /// Two search modes share one entry point (PlanComm):
@@ -102,12 +102,12 @@ struct PlanRequest {
   int staleness = 0;
   /// Time-basis ceiling for the staleness dimension (>= staleness).
   int max_staleness = 0;
-  /// Baseline egress batching (pinned in paper mode).
+  /// Inert: the runtime has no egress batcher, so the plan never batches.
+  /// These three survive only because the end-to-end benchmark driver
+  /// (perfbench/driver.cc) still sets them; they feed neither the search
+  /// nor PlanRequestKey / PlanRequestSignature.
   bool batch_egress = false;
-  /// Joint mode may turn batching on when it reduces framing/latency.
   bool allow_batching = false;
-  /// Messages per batch frame the batching model assumes
-  /// (EgressBatchOptions::max_batch_messages).
   int batch_max_messages = 16;
 
   // --- policy constraints ---

@@ -22,6 +22,8 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
          "loss shim (SocketTransportOptions::shim) for socket chaos";
   CHECK(!t.crash.active() && !t.failure_detection.enabled)
       << "crash/recovery plans are in-process-trainer features";
+  CHECK(!t.batch_egress) << "TrainerOptions::batch_egress is an inert leftover: "
+                             "the bus has no egress batcher";
   CHECK(!t.plan_feedback)
       << "bandwidth-feedback re-planning swaps plans in process; a socket cluster "
          "runs one plan";
@@ -60,9 +62,6 @@ Status ClusterNode::Run() {
   CheckRuntimePlan(*plan_, *coordinator_);
 
   bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (t.batch_egress || plan_->batch_egress) {
-    bus_->EnableBatching(t.batch_options);
-  }
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.
@@ -122,7 +121,7 @@ Status ClusterNode::Run() {
   for (const Status& ws : worker_status) {
     if (!ws.ok()) return ws;
   }
-  // Drain this process's egress (bus batches + socket queues) before
+  // Drain this process's egress (the socket queues) before
   // declaring completion, so process 0's shutdown decision never races
   // bytes still in our send path.
   bus_->FlushEgress();

@@ -16,12 +16,12 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   CHECK_GT(options_.num_workers, 0);
   CHECK_GT(options_.num_servers, 0);
   CHECK_GE(options_.server_node_base, 0);
+  CHECK(!options_.batch_egress)
+      << "TrainerOptions::batch_egress is an inert leftover: the bus has no "
+         "egress batcher, every message leaves on its sender's thread";
   const int num_nodes = std::max(options_.num_workers,
                                  options_.server_node_base + options_.num_servers);
   bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
   if (options_.enable_faults || options_.fault_plan.any()) {
     bus_->EnableFaultInjection(options_.fault_plan);
   }
@@ -68,7 +68,7 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     cluster.shards_per_server = plan_->ps_shards;
     coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
   }
-  ApplyPlanSchemes();
+  CheckRuntimePlan(*plan_, *coordinator_);
 
   for (int s = 0; s < options_.num_servers; ++s) {
     servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
@@ -127,14 +127,11 @@ PlanRequest RuntimePlanRequest(const Coordinator& coordinator, const TrainerOpti
   req.max_staleness = options.staleness;
   req.topk_density = options.topk_density;
   req.compression_min_floats = options.compression_min_floats;
-  req.batch_max_messages = options.batch_options.max_batch_messages;
-  req.batch_egress = options.batch_egress;
   if (options.plan_mode == TrainerPlanMode::kAuto) {
     // Joint search over everything the options left open; a non-zero
     // shards_per_server stays a hard pin.
     req.ps_shards_pinned = options.shards_per_server;
     req.max_shards = kMaxAutoShards;
-    req.allow_batching = true;
     req.policy = PlanPolicy::kAuto;
     req.codec = PlanCodecPolicy::kAuto;
     req.joint = true;
@@ -176,13 +173,6 @@ void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator) {
   }
 }
 
-void PoseidonTrainer::ApplyPlanSchemes() {
-  CheckRuntimePlan(*plan_, *coordinator_);
-  if (plan_->batch_egress && !options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
-}
-
 void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   CHECK(!shut_down_);
   CHECK(new_plan != nullptr);
@@ -219,9 +209,6 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   const int num_nodes = std::max(options_.num_workers,
                                  options_.server_node_base + options_.num_servers);
   bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.batch_egress) {
-    bus_->EnableBatching(options_.batch_options);
-  }
   if (options_.enable_faults || options_.fault_plan.any()) {
     bus_->EnableFaultInjection(options_.fault_plan);
   }
@@ -248,7 +235,6 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   cluster.shards_per_server = new_plan->ps_shards;
   coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
   plan_ = std::move(new_plan);
-  ApplyPlanSchemes();
 
   for (int s = 0; s < options_.num_servers; ++s) {
     servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,

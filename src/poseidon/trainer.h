@@ -47,6 +47,14 @@ inline PlanCodecPolicy PlanCodecPolicyFromCompression(PsCompressionPolicy policy
   return policy;
 }
 
+/// Inert leftover of the removed bus egress batcher: perfbench/driver.cc
+/// copies `max_batch_messages` into PlanRequest::batch_max_messages, which
+/// the planner ignores. Drop with TrainerOptions::batch_egress at the next
+/// change that may touch the benchmark directory.
+struct EgressBatchOptions {
+  int max_batch_messages = 16;
+};
+
 /// Builds one network replica. Called once per worker plus once for server
 /// initialization; must be deterministic so all replicas start identical.
 using NetworkFactory = std::function<std::unique_ptr<Network>()>;
@@ -71,9 +79,8 @@ enum class TrainerPlanMode {
   /// The paper's sequential decisions: the planner's paper mode over
   /// fc_policy, ps_compression and shards_per_server.
   kPaper,
-  /// Joint CommPlanner search over scheme x shards x codec x batching; the
-  /// resulting plan supersedes fc_policy / ps_compression / shards_per_server
-  /// / batch_egress.
+  /// Joint CommPlanner search over scheme x shards x codec; the resulting
+  /// plan supersedes fc_policy / ps_compression / shards_per_server.
   kAuto,
   /// Adopt a caller-provided CommPlan verbatim (e.g. --plan=fixed:<path>).
   kFixed,
@@ -113,12 +120,10 @@ struct TrainerOptions {
   int64_t compression_min_floats = kCompressionMinFloats;
   int64_t kv_pair_bytes = 2 * 1024 * 1024;
   int syncer_threads = 2;     // client-library pool size per worker
-  /// When true, the bus coalesces same-destination wire messages from
-  /// different layer syncers into batched frames (MessageBus egress
-  /// batching). Grouping is timing-dependent but content-deterministic:
-  /// training trajectories are bitwise identical with or without it.
+  /// Inert leftovers of the removed egress batcher, kept only because
+  /// perfbench/driver.cc names them. Every message leaves on its sender's
+  /// thread; `batch_egress = true` fails a CHECK rather than being ignored.
   bool batch_egress = false;
-  /// Batching knobs, used when `batch_egress` is set.
   EgressBatchOptions batch_options;
   /// When non-empty, parameters and the iteration cursor are restored from
   /// this checkpoint before the KV shards are initialized.
@@ -146,7 +151,7 @@ struct TrainerOptions {
   /// Communication-plan source (see TrainerPlanMode).
   TrainerPlanMode plan_mode = TrainerPlanMode::kPaper;
   /// The plan to adopt when plan_mode = kFixed (layer names must match the
-  /// model; shards/staleness/batching come from the plan).
+  /// model; shards/staleness come from the plan).
   std::shared_ptr<const CommPlan> fixed_plan;
   /// Labels the plan request (plan cache keys hash the layer specs, so the
   /// name is cosmetic).
@@ -272,9 +277,6 @@ class PoseidonTrainer {
   void MaybeCheckpoint(int w, int64_t next_iter);
   std::string CheckpointPath(int w) const;
 
-  /// Checks plan_ against the coordinator and turns on the egress batching
-  /// it asks for; the KV servers and client libraries read the rest of it.
-  void ApplyPlanSchemes();
   /// Feedback hook run after each Train() window.
   void MaybeReplan();
 

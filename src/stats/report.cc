@@ -128,33 +128,6 @@ std::string FormatSpeedupTable(const std::string& title,
   return out.str();
 }
 
-std::string FormatBatchAblation(const std::string& title, const ModelSpec& model,
-                                SystemConfig system, const std::vector<int>& node_counts,
-                                double gbps, Engine engine) {
-  TextTable table({"nodes", "msgs/iter", "msgs/iter(batched)", "reduction", "tx gbit/iter",
-                   "tx gbit/iter(batched)"});
-  for (int nodes : node_counts) {
-    ClusterSpec cluster;
-    cluster.num_nodes = nodes;
-    cluster.nic_gbps = gbps;
-    system.batch_egress = false;
-    const SimResult plain = RunProtocolSimulation(model, system, cluster, engine);
-    system.batch_egress = true;
-    const SimResult batched = RunProtocolSimulation(model, system, cluster, engine);
-
-    const double plain_msgs = Mean(plain.wire_msgs_per_iter);
-    const double batched_msgs = Mean(batched.wire_msgs_per_iter);
-    table.AddRow({std::to_string(nodes), TextTable::Num(plain_msgs, 1),
-                  TextTable::Num(batched_msgs, 1),
-                  TextTable::Num(batched_msgs > 0.0 ? plain_msgs / batched_msgs : 0.0, 2),
-                  TextTable::Num(Mean(plain.tx_gbits_per_iter), 4),
-                  TextTable::Num(Mean(batched.tx_gbits_per_iter), 4)});
-  }
-  std::ostringstream out;
-  out << title << " (" << system.name << ", per-node averages)\n" << table.ToString();
-  return out.str();
-}
-
 std::string FormatLossAblation(const std::string& title, const ModelSpec& model,
                                SystemConfig system, int nodes, double gbps, Engine engine,
                                const std::vector<double>& loss_rates) {

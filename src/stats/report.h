@@ -61,14 +61,6 @@ std::string FormatPlanSummary(const BenchArgs& args, const ModelSpec& model, int
 std::string FormatSpeedupTable(const std::string& title,
                                const std::vector<SweepResult>& results);
 
-// Egress-batcher ablation: runs `system` with batching off and on at each
-// node count and renders per-node wire messages and tx gigabits per
-// iteration side by side (the batcher's effect is on framing and message
-// count; payload bytes and timing are unchanged).
-std::string FormatBatchAblation(const std::string& title, const ModelSpec& model,
-                                SystemConfig system, const std::vector<int>& node_counts,
-                                double gbps, Engine engine);
-
 // Loss-rate ablation: runs `system` at each wire loss rate and renders the
 // iteration time, slowdown vs the lossless run, expected transmissions per
 // message, and tx volume (retransmit inflation included). The modeled link

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "src/stats/trace.h"
 #include "src/transport/wire_format.h"
 
 namespace poseidon {
@@ -21,13 +20,11 @@ int64_t SteadyNowNs() {
 MessageBus::MessageBus(int num_nodes)
     : limiters_(static_cast<size_t>(num_nodes)),
       tx_bytes_(static_cast<size_t>(num_nodes)),
-      tx_messages_(static_cast<size_t>(num_nodes)),
-      tx_entries_(static_cast<size_t>(num_nodes)) {
+      tx_messages_(static_cast<size_t>(num_nodes)) {
   CHECK_GT(num_nodes, 0);
   for (size_t n = 0; n < tx_bytes_.size(); ++n) {
     tx_bytes_[n].store(0);
     tx_messages_[n].store(0);
-    tx_entries_[n].store(0);
   }
 }
 
@@ -40,20 +37,6 @@ MessageBus::~MessageBus() {
     pump_cv_.notify_all();
     if (pump_thread_.joinable()) {
       pump_thread_.join();
-    }
-  }
-  if (batching_.load(std::memory_order_acquire)) {
-    for (auto& egress : egress_) {
-      {
-        std::lock_guard<std::mutex> lock(egress->mutex);
-        egress->stop = true;
-      }
-      egress->cv.notify_all();
-    }
-    for (auto& egress : egress_) {
-      if (egress->flusher.joinable()) {
-        egress->flusher.join();
-      }
     }
   }
 }
@@ -77,25 +60,27 @@ Status MessageBus::Route(const Message& message, std::shared_ptr<Mailbox>* mailb
   }
   *mailbox = it->second;
   // shared_ptr copy: a concurrent SetEgressLimit cannot invalidate the
-  // limiter while a sender (or flusher) waits on it, and the wait itself
-  // runs with no bus lock held.
+  // limiter while a sender waits on it, and the wait itself runs with no bus
+  // lock held.
   *limiter = limiters_[static_cast<size_t>(message.from.node)];
   return Status::Ok();
 }
 
+void MessageBus::AccountRemote(int src, int dst, int64_t bytes,
+                               const std::shared_ptr<RateLimiter>& limiter) {
+  if (limiter != nullptr) {
+    limiter->Acquire(bytes);
+  }
+  tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
+  tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
+  RecordLinkTx(src, dst, bytes);
+}
+
 Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
                               std::shared_ptr<RateLimiter> limiter) {
-  const int src = message.from.node;
   const bool remote = message.from.node != message.to.node;
-  if (remote) {
-    const int64_t bytes = message.WireBytes();
-    if (limiter != nullptr) {
-      limiter->Acquire(bytes);  // local traffic bypasses the NIC
-    }
-    tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
-    tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-    tx_entries_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-    RecordLinkTx(src, message.to.node, bytes);
+  if (remote) {  // local traffic bypasses the NIC
+    AccountRemote(message.from.node, message.to.node, message.WireBytes(), limiter);
   }
   if (remote && injector_ != nullptr && message.type != MessageType::kShutdown) {
     InjectOrCommit(std::move(mailbox), std::move(message), /*attempt=*/0);
@@ -113,15 +98,8 @@ Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
 Status MessageBus::SendViaTransport(Message message,
                                     std::shared_ptr<RateLimiter> limiter) {
   const int src = message.from.node;
-  const int64_t bytes = message.WireBytes();
-  if (limiter != nullptr) {
-    limiter->Acquire(bytes);
-  }
-  tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
-  tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  tx_entries_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  RecordLinkTx(src, message.to.node, bytes);
   const int dst = message.to.node;
+  AccountRemote(src, dst, message.WireBytes(), limiter);
   return transport_->SendFrame(src, dst, EncodeMessageFrame(message));
 }
 
@@ -130,10 +108,7 @@ Status MessageBus::Send(Message message) {
   CHECK_GE(src, 0);
   CHECK_LT(src, num_nodes());
 
-  const bool wire_remote = IsWireRemote(message.to.node);
-  std::shared_ptr<Mailbox> mailbox;
-  std::shared_ptr<RateLimiter> limiter;
-  if (wire_remote) {
+  if (IsWireRemote(message.to.node)) {
     // The destination's mailboxes live in another process: no local routing,
     // the frame goes to the transport instead.
     CHECK(transport_->IsLocal(src))
@@ -146,161 +121,28 @@ Status MessageBus::Send(Message message) {
     if (message.type != MessageType::kShutdown) {
       message.seq = wire_sequencer_->NextSeq(message.from, message.to);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    limiter = limiters_[static_cast<size_t>(src)];
-  } else {
-    const Status routed = Route(message, &mailbox, &limiter);
-    if (!routed.ok()) {
-      return routed;
-    }
-
-    // Sequence every remote data message at send time: the stream order
-    // fixed here is the order the receiver's reorder buffer will restore,
-    // whatever the fault fabric does to the individual transmissions in
-    // between.
-    if (injector_ != nullptr && message.to.node != src &&
-        message.type != MessageType::kShutdown) {
-      message.seq = sequencer_->NextSeq(message.from, message.to);
-    }
-
-    // Stamp remote messages at bus accept so RecordLinkDelivery() can report
-    // end-to-end delivery latency including batching queue time and injected
-    // fault delays.
-    if (message.to.node != src && link_stats_enabled()) {
-      message.send_ns = SteadyNowNs();
-    }
+    return SendViaTransport(std::move(message), egress_limiter(src));
   }
 
-  if (!batching_.load(std::memory_order_acquire)) {
-    if (wire_remote) {
-      return SendViaTransport(std::move(message), std::move(limiter));
-    }
-    return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
-  }
-  if (!wire_remote && message.to.node == src) {
-    // Local traffic never batches (it never leaves the process).
-    return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
-  }
-
-  NodeEgress& egress = *egress_[static_cast<size_t>(src)];
-  const bool force_flush = message.type == MessageType::kShutdown;
-  // Wake the flusher only when it has something new to react to: a batch
-  // cut into the ready queue, or a fresh open batch whose aging timer it
-  // must arm. Joining an existing open batch needs no wakeup.
-  bool wake_flusher = false;
-  {
-    std::lock_guard<std::mutex> lock(egress.mutex);
-    const int dst = message.to.node;
-    Batch* batch = nullptr;
-    for (Batch& open : egress.open) {
-      if (open.dst_node == dst) {
-        batch = &open;
-        break;
-      }
-    }
-    if (batch != nullptr && batch->iter != message.iter) {
-      // Iteration boundary: cut the old batch first so per-destination FIFO
-      // order is preserved.
-      egress.ready.push_back(std::move(*batch));
-      egress.open.erase(egress.open.begin() + (batch - egress.open.data()));
-      batch = nullptr;
-      wake_flusher = true;
-    }
-    if (batch == nullptr) {
-      Batch fresh;
-      fresh.dst_node = dst;
-      fresh.iter = message.iter;
-      fresh.opened = std::chrono::steady_clock::now();
-      egress.open.push_back(std::move(fresh));
-      batch = &egress.open.back();
-      wake_flusher = true;
-    }
-    batch->payload_bytes += kBatchEntryHeaderBytes + message.PayloadBytes();
-    batch->entries.emplace_back(std::move(mailbox), std::move(message));
-    if (force_flush ||
-        static_cast<int>(batch->entries.size()) >= batch_options_.max_batch_messages ||
-        batch->payload_bytes >= batch_options_.max_batch_bytes) {
-      egress.ready.push_back(std::move(*batch));
-      egress.open.erase(egress.open.begin() + (batch - egress.open.data()));
-      wake_flusher = true;
-    }
-  }
-  if (wake_flusher) {
-    egress.cv.notify_all();
-  }
-  return Status::Ok();
-}
-
-void MessageBus::EnableBatching(const EgressBatchOptions& options) {
-  CHECK(!batching_.load(std::memory_order_acquire)) << "batching already enabled";
-  CHECK_GT(options.max_batch_messages, 0);
-  CHECK_GT(options.max_batch_bytes, 0);
-  CHECK_GT(options.flush_interval_us, 0);
-  batch_options_ = options;
-  egress_.resize(static_cast<size_t>(num_nodes()));
-  for (int n = 0; n < num_nodes(); ++n) {
-    egress_[static_cast<size_t>(n)] = std::make_unique<NodeEgress>();
-  }
-  batching_.store(true, std::memory_order_release);
-  for (int n = 0; n < num_nodes(); ++n) {
-    egress_[static_cast<size_t>(n)]->flusher = std::thread([this, n] { FlusherLoop(n); });
-  }
-}
-
-void MessageBus::DeliverBatch(int src, Batch batch) {
-  TraceSpan span("bus.deliver_batch", "transport",
-                 static_cast<int64_t>(batch.entries.size()));
-  const int64_t bytes = kWireFrameBytes + batch.payload_bytes;
+  std::shared_ptr<Mailbox> mailbox;
   std::shared_ptr<RateLimiter> limiter;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    limiter = limiters_[static_cast<size_t>(src)];
+  const Status routed = Route(message, &mailbox, &limiter);
+  if (!routed.ok()) {
+    return routed;
   }
-  if (limiter != nullptr) {
-    limiter->Acquire(bytes);
+  // Sequence every remote data message at send time: the stream order fixed
+  // here is the order the receiver's reorder buffer will restore, whatever
+  // the fault fabric does to the individual transmissions in between.
+  if (injector_ != nullptr && message.to.node != src &&
+      message.type != MessageType::kShutdown) {
+    message.seq = sequencer_->NextSeq(message.from, message.to);
   }
-  tx_bytes_[static_cast<size_t>(src)].fetch_add(bytes, std::memory_order_relaxed);
-  tx_messages_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  tx_entries_[static_cast<size_t>(src)].fetch_add(
-      static_cast<int64_t>(batch.entries.size()), std::memory_order_relaxed);
-  RecordLinkTx(src, batch.dst_node, bytes);
-  if (IsWireRemote(batch.dst_node)) {
-    // The whole batch crosses the process boundary as one frame — the exact
-    // framing the accounting above just charged.
-    std::vector<Message> entries;
-    entries.reserve(batch.entries.size());
-    for (auto& [mailbox, message] : batch.entries) {
-      entries.push_back(std::move(message));
-    }
-    std::vector<uint8_t> frame = EncodeBatchFrame(entries);
-    CHECK_EQ(static_cast<int64_t>(frame.size()), bytes);
-    const Status status =
-        transport_->SendFrame(src, batch.dst_node, std::move(frame));
-    if (!status.ok()) {
-      // Mirrors the closed-mailbox case below: the senders are long gone,
-      // so a dead peer connection can only be reported loudly.
-      LOG(Warning) << "egress batch from node " << src << " to node "
-                   << batch.dst_node << " lost: " << status.ToString();
-    }
-    return;
+  // Stamp remote messages at bus accept so RecordLinkDelivery() can report
+  // end-to-end delivery latency including injected fault delays.
+  if (message.to.node != src && link_stats_enabled()) {
+    message.send_ns = SteadyNowNs();
   }
-  for (auto& [mailbox, message] : batch.entries) {
-    const MessageType type = message.type;
-    if (injector_ != nullptr && type != MessageType::kShutdown) {
-      // Chaos weather applies per logical message even inside a batched
-      // frame (accounting already happened above, once per frame).
-      InjectOrCommit(std::move(mailbox), std::move(message), /*attempt=*/0);
-      continue;
-    }
-    RecordLinkDelivery(message);
-    if (!mailbox->Push(std::move(message)) && type != MessageType::kShutdown) {
-      // The unbatched path surfaces this as UnavailableError to the
-      // sender; here the sender is long gone, so make the drop loud —
-      // outside teardown it means a receiver will wait forever.
-      LOG(Warning) << "egress batch from node " << src
-                   << " dropped a message for a closed mailbox";
-    }
-  }
+  return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
 }
 
 // ---------------------------------------------------------- transport seam --
@@ -319,18 +161,13 @@ void MessageBus::AttachTransport(std::shared_ptr<Transport> transport) {
 
 Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
   CHECK(transport_ != nullptr) << "DeliverWire requires AttachTransport";
-  std::vector<Message> messages;
-  Status status = DecodeWireFrame(data, size, &messages);
+  Message message;
+  Status status = DecodeWireFrame(data, size, &message);
   if (!status.ok()) {
     return status;
   }
-  if (messages.empty()) {
-    return Status::Ok();
-  }
-  // Every message of a frame shares (from node, to node) — the batch
-  // invariant — so one bounds check and one link-accounting add cover all.
-  const int src = messages.front().from.node;
-  const int dst = messages.front().to.node;
+  const int src = message.from.node;
+  const int dst = message.to.node;
   if (src < 0 || src >= num_nodes() || dst < 0 || dst >= num_nodes()) {
     return InvalidArgumentError("wire frame addressed outside this cluster: " +
                                 std::to_string(src) + " -> " +
@@ -340,40 +177,37 @@ Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
   // it hosts, this bus records links arriving from remote sources — one bus
   // never counts a (src, dst) pair from both sides.
   RecordLinkTx(src, dst, size);
-  const int64_t now_ns = link_stats_enabled() ? SteadyNowNs() : 0;
-  for (Message& m : messages) {
-    // Receiver-side restamp: delivery latency is measured ingress-to-push on
-    // this process's steady clock. Two processes' steady clocks have
-    // unrelated epochs, so the sender's stamp must never be compared here.
-    m.send_ns = now_ns;
-    std::vector<Message> released;
-    if (m.seq >= 0) {
-      wire_reorder_->Admit(std::move(m), &released);
-    } else {
-      released.push_back(std::move(m));
+  // Receiver-side restamp: delivery latency is measured ingress-to-push on
+  // this process's steady clock. Two processes' steady clocks have unrelated
+  // epochs, so the sender's stamp must never be compared here.
+  message.send_ns = link_stats_enabled() ? SteadyNowNs() : 0;
+  std::vector<Message> released;
+  if (message.seq >= 0) {
+    wire_reorder_->Admit(std::move(message), &released);
+  } else {
+    released.push_back(std::move(message));
+  }
+  for (Message& ready : released) {
+    std::shared_ptr<Mailbox> target;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = mailboxes_.find(ready.to);
+      if (it != mailboxes_.end()) {
+        target = it->second;
+      }
     }
-    for (Message& ready : released) {
-      std::shared_ptr<Mailbox> target;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = mailboxes_.find(ready.to);
-        if (it != mailboxes_.end()) {
-          target = it->second;
-        }
-      }
-      const MessageType type = ready.type;
-      if (target == nullptr) {
-        // The endpoint died (or was never registered here): the message is
-        // lost exactly as on a dead socket; count it so tests can see.
-        if (type != MessageType::kShutdown) {
-          wire_counters_->AddDroppedReply();
-        }
-        continue;
-      }
-      RecordLinkDelivery(ready);
-      if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
+    const MessageType type = ready.type;
+    if (target == nullptr) {
+      // The endpoint died (or was never registered here): the message is
+      // lost exactly as on a dead socket; count it so tests can see.
+      if (type != MessageType::kShutdown) {
         wire_counters_->AddDroppedReply();
       }
+      continue;
+    }
+    RecordLinkDelivery(ready);
+    if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
+      wire_counters_->AddDroppedReply();
     }
   }
   return Status::Ok();
@@ -625,87 +459,8 @@ void MessageBus::CloseEndpoints(int node, int min_port, int max_port) {
   }
 }
 
-void MessageBus::FlusherLoop(int node) {
-  NodeEgress& egress = *egress_[static_cast<size_t>(node)];
-  const auto interval = std::chrono::microseconds(batch_options_.flush_interval_us);
-  std::unique_lock<std::mutex> lock(egress.mutex);
-  while (true) {
-    if (egress.stop && egress.ready.empty() && egress.open.empty()) {
-      break;
-    }
-    if (egress.ready.empty()) {
-      if (egress.open.empty()) {
-        if (egress.flush_requested && egress.delivering == 0) {
-          egress.flush_requested = false;
-          egress.idle_cv.notify_all();
-        }
-        egress.cv.wait(lock, [&] {
-          return egress.stop || egress.flush_requested || !egress.ready.empty() ||
-                 !egress.open.empty();
-        });
-        continue;
-      }
-      // Let young open batches age up to the flush interval before cutting
-      // them (unless a flush/stop wants everything out now).
-      if (!egress.stop && !egress.flush_requested) {
-        auto earliest = egress.open.front().opened;
-        for (const Batch& open : egress.open) {
-          earliest = std::min(earliest, open.opened);
-        }
-        egress.cv.wait_until(lock, earliest + interval, [&] {
-          return egress.stop || egress.flush_requested || !egress.ready.empty();
-        });
-      }
-      const auto now = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < egress.open.size();) {
-        if (egress.stop || egress.flush_requested || now - egress.open[i].opened >= interval) {
-          egress.ready.push_back(std::move(egress.open[i]));
-          egress.open.erase(egress.open.begin() + static_cast<long>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-    while (!egress.ready.empty()) {
-      Batch batch = std::move(egress.ready.front());
-      egress.ready.pop_front();
-      ++egress.delivering;
-      lock.unlock();
-      DeliverBatch(node, std::move(batch));
-      lock.lock();
-      --egress.delivering;
-    }
-    if (egress.flush_requested && egress.open.empty() && egress.ready.empty() &&
-        egress.delivering == 0) {
-      egress.flush_requested = false;
-      egress.idle_cv.notify_all();
-    }
-  }
-}
-
 void MessageBus::FlushEgress() {
-  if (!batching_.load(std::memory_order_acquire)) {
-    if (transport_ != nullptr) {
-      transport_->Flush();
-    }
-    return;
-  }
-  for (auto& egress_ptr : egress_) {
-    NodeEgress& egress = *egress_ptr;
-    std::unique_lock<std::mutex> lock(egress.mutex);
-    if (egress.open.empty() && egress.ready.empty() && egress.delivering == 0) {
-      continue;
-    }
-    egress.flush_requested = true;
-    egress.cv.notify_all();
-    egress.idle_cv.wait(lock, [&] {
-      return !egress.flush_requested ||
-             (egress.open.empty() && egress.ready.empty() && egress.delivering == 0);
-    });
-  }
   if (transport_ != nullptr) {
-    // Batches are cut and encoded; now drain the transport's own egress
-    // queues so the bytes actually leave the process.
     transport_->Flush();
   }
 }
@@ -872,25 +627,10 @@ int64_t MessageBus::TxMessages(int node) const {
   return tx_messages_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
 }
 
-std::vector<int64_t> MessageBus::TxEntries() const {
-  std::vector<int64_t> out(tx_entries_.size());
-  for (size_t i = 0; i < tx_entries_.size(); ++i) {
-    out[i] = tx_entries_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-int64_t MessageBus::TxEntries(int node) const {
-  CHECK_GE(node, 0);
-  CHECK_LT(node, num_nodes());
-  return tx_entries_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-}
-
 void MessageBus::ResetTraffic() {
   for (size_t n = 0; n < tx_bytes_.size(); ++n) {
     tx_bytes_[n].store(0, std::memory_order_relaxed);
     tx_messages_[n].store(0, std::memory_order_relaxed);
-    tx_entries_[n].store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,6 +1,6 @@
 /// \file
-/// In-process message bus with per-endpoint mailboxes, optional egress rate
-/// limiting, and an optional per-destination egress batcher.
+/// In-process message bus with per-endpoint mailboxes and optional egress
+/// rate limiting.
 ///
 /// This stands in for the paper's Ethernet + ZMQ layer: every endpoint
 /// (server service loop, worker syncer mailbox) registers a blocking queue;
@@ -8,17 +8,9 @@
 /// node to emulate a bounded-egress NIC in wall-clock time (used by examples;
 /// the quantitative bandwidth experiments use the virtual-time fabric in
 /// src/sim instead). Traffic is accounted per node for the load-balance
-/// experiments.
-///
-/// Batching (EnableBatching): outgoing messages from one node to the same
-/// destination node and iteration coalesce into one framed wire message, so
-/// a many-layer model's per-layer pushes to a shard endpoint cost one frame
-/// instead of one per layer. Each node owns an egress queue and a flusher
-/// thread; a batch is cut when it reaches the configured message/byte
-/// thresholds, when the iteration changes, on shutdown messages, or when the
-/// flush interval elapses — so a blocked or throttled destination can only
-/// ever stall its own node's egress, never another node's (see
-/// docs/WIRE_FORMAT.md).
+/// experiments. Every message is delivered (or handed to the transport) on
+/// its sender's thread: no egress queue sits between a layer's sync and the
+/// wire, so a dependent push -> apply -> reply step pays no timer latency.
 ///
 /// Fault injection (EnableFaultInjection): a seeded FaultInjector sits on
 /// the remote delivery path and drops (with link-layer retransmit),
@@ -35,7 +27,6 @@
 #include <chrono>
 #include <climits>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -56,8 +47,8 @@
 namespace poseidon {
 
 /// Observed traffic on one directed (src node, dst node) link since
-/// EnableLinkStats: wire bytes, wire messages (a batched frame counts once),
-/// and the distribution of bus-accept-to-mailbox-push delivery latency.
+/// EnableLinkStats: wire bytes, wire messages, and the distribution of
+/// bus-accept-to-mailbox-push delivery latency.
 struct LinkStat {
   int src = 0;
   int dst = 0;
@@ -85,18 +76,6 @@ struct ObservedLinkStats {
   }
 };
 
-/// Egress batching knobs. Defaults favour throughput on many-layer models
-/// while keeping the added latency bounded by the flush interval.
-struct EgressBatchOptions {
-  /// A batch is cut when it holds this many messages.
-  int max_batch_messages = 16;
-  /// ... or this many payload bytes.
-  int64_t max_batch_bytes = 4 << 20;
-  /// ... or when it has aged this long without filling (progress guarantee:
-  /// a push waiting on this batch can never deadlock its receiver).
-  int flush_interval_us = 200;
-};
-
 class MessageBus {
  public:
   using Mailbox = BlockingQueue<Message>;
@@ -114,8 +93,7 @@ class MessageBus {
   /// destination was never registered. Applies the sender's rate limit, if
   /// any, based on the message's wire size; the limiter wait never holds the
   /// bus lock, so one node's throttled egress cannot stall another node's
-  /// sends. With batching enabled, remote messages are queued on the
-  /// sender's egress batcher instead of being delivered inline.
+  /// sends.
   Status Send(Message message);
 
   /// Attaches the frame carrier for destinations outside this process (call
@@ -130,9 +108,8 @@ class MessageBus {
   /// The attached backend; null means the historical in-process-only bus.
   Transport* transport() const { return transport_.get(); }
 
-  /// Ingress from the transport: decodes one wire frame (message or batch)
-  /// and delivers its logical messages to local mailboxes. Sequenced
-  /// messages pass through the wire reorder buffer (dedup + in-order
+  /// Ingress from the transport: decodes one wire frame and delivers its
+  /// message to the local mailbox. Sequenced messages pass through the wire reorder buffer (dedup + in-order
   /// release); `send_ns` is restamped here, on the receiver's clock, so
   /// delivery-latency stats never compare steady clocks of two processes.
   /// Returns InvalidArgument/OutOfRange on malformed bytes. Thread-safe.
@@ -142,14 +119,8 @@ class MessageBus {
   /// transport is attached and weather happens).
   FaultCountersSnapshot WireCounters() const;
 
-  /// Turns on per-destination egress batching (idempotent is not supported:
-  /// call at most once, before traffic flows). Spawns one flusher thread per
-  /// node.
-  void EnableBatching(const EgressBatchOptions& options = {});
-  bool batching_enabled() const { return batching_.load(std::memory_order_acquire); }
-
-  /// Blocks until every pending batch has been delivered (tests and
-  /// iteration barriers; no-op without batching).
+  /// Blocks until the attached transport has written every queued frame
+  /// (no-op without a transport: in-process delivery is synchronous).
   void FlushEgress();
 
   /// Turns on the seeded fault-injection fabric (call at most once, before
@@ -195,8 +166,7 @@ class MessageBus {
   /// Turns on per-(src,dst) link accounting: bytes, wire messages, and
   /// delivery-latency histograms per directed node pair. Remote messages are
   /// stamped at Send() and the latency recorded at the final mailbox push,
-  /// so batching queue time and injected fault delays show up in the
-  /// distribution. Idempotent; cheap enough to leave on (a few relaxed adds
+  /// so injected fault delays show up in the distribution. Idempotent; cheap enough to leave on (a few relaxed adds
   /// per wire message).
   void EnableLinkStats();
   bool link_stats_enabled() const {
@@ -217,16 +187,12 @@ class MessageBus {
   /// delta takers would split the traffic between them.
   ObservedLinkStats SnapshotLinkStatsDelta();
 
-  /// Cumulative egress bytes per node (approximate wire sizes, framing
-  /// included; batch frames counted once).
+  /// Cumulative egress bytes per node (exact frame sizes, framing included).
   std::vector<int64_t> TxBytes() const;
   int64_t TxBytes(int node) const;
-  /// Cumulative wire messages per node: a delivered batch counts as one.
+  /// Cumulative wire messages per node.
   std::vector<int64_t> TxMessages() const;
   int64_t TxMessages(int node) const;
-  /// Cumulative logical (sub-)messages per node, batched or not.
-  std::vector<int64_t> TxEntries() const;
-  int64_t TxEntries(int node) const;
   void ResetTraffic();
 
   /// Closes every mailbox (wakes all blocked receivers).
@@ -235,29 +201,6 @@ class MessageBus {
   int num_nodes() const { return static_cast<int>(tx_bytes_.size()); }
 
  private:
-  /// One batch under assembly or awaiting delivery: same destination node,
-  /// same iteration, entries in send order.
-  struct Batch {
-    int dst_node = 0;
-    int64_t iter = -1;
-    int64_t payload_bytes = 0;
-    std::chrono::steady_clock::time_point opened;
-    std::vector<std::pair<std::shared_ptr<Mailbox>, Message>> entries;
-  };
-
-  /// Per-node egress queue + flusher thread (only with batching enabled).
-  struct NodeEgress {
-    std::mutex mutex;
-    std::condition_variable cv;       // wakes the flusher
-    std::condition_variable idle_cv;  // signals FlushEgress waiters
-    std::vector<Batch> open;          // at most one per destination node
-    std::deque<Batch> ready;
-    int delivering = 0;
-    bool flush_requested = false;
-    bool stop = false;
-    std::thread flusher;
-  };
-
   /// One message waiting on the fault pump: a delayed or duplicated
   /// delivery, a scheduled retransmission, or partition-parked traffic.
   struct TimedDelivery {
@@ -297,16 +240,15 @@ class MessageBus {
   bool IsWireRemote(int node) const {
     return transport_ != nullptr && !transport_->IsLocal(node);
   }
-  /// Serializes one unbatched message and ships it via the transport
-  /// (accounting + rate limit identical to SendDirect's remote path).
+  /// Charges the sender's limiter and traffic counters for one remote
+  /// message of `bytes` wire bytes.
+  void AccountRemote(int src, int dst, int64_t bytes,
+                     const std::shared_ptr<RateLimiter>& limiter);
+  /// Serializes one message and ships it via the transport.
   Status SendViaTransport(Message message, std::shared_ptr<RateLimiter> limiter);
-  /// Inline delivery (no batching, or local traffic).
+  /// In-process delivery (local traffic, or a remote node of this process).
   Status SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
                     std::shared_ptr<RateLimiter> limiter);
-  /// Delivers one cut batch: one limiter acquire and one wire frame, then
-  /// the entries in order. Runs on the owning node's flusher thread.
-  void DeliverBatch(int src, Batch batch);
-  void FlusherLoop(int node);
 
   /// Remote delivery behind the injector: parks partitioned traffic, rolls
   /// the fault dice for this transmission attempt, and either schedules the
@@ -322,11 +264,6 @@ class MessageBus {
   std::vector<std::shared_ptr<RateLimiter>> limiters_;  // per node, may be null
   std::vector<std::atomic<int64_t>> tx_bytes_;
   std::vector<std::atomic<int64_t>> tx_messages_;
-  std::vector<std::atomic<int64_t>> tx_entries_;
-
-  std::atomic<bool> batching_{false};
-  EgressBatchOptions batch_options_;
-  std::vector<std::unique_ptr<NodeEgress>> egress_;
 
   // Link accounting (set once by EnableLinkStats, then immutable pointers).
   std::atomic<bool> link_stats_enabled_{false};

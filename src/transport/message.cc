@@ -2,14 +2,12 @@
 
 namespace poseidon {
 
-int64_t Message::PayloadBytes() const {
-  int64_t bytes = 0;
+int64_t Message::WireBytes() const {
+  int64_t bytes = kWireFrameBytes;
   for (const WireChunk& chunk : chunks) {
     bytes += kWireChunkHeaderBytes + chunk.view.size() * 4;
   }
   return bytes;
 }
-
-int64_t Message::WireBytes() const { return kWireFrameBytes + PayloadBytes(); }
 
 }  // namespace poseidon

@@ -12,7 +12,7 @@
 /// serialized it. A broadcast shares one slab across all receivers, and a
 /// shard-coalesced push references the sender's staging slab per KV pair
 /// without per-pair copies. Framing sizes below feed the traffic accounting
-/// and the egress batcher (docs/WIRE_FORMAT.md documents the full layout).
+/// (docs/WIRE_FORMAT.md documents the full layout).
 #ifndef POSEIDON_SRC_TRANSPORT_MESSAGE_H_
 #define POSEIDON_SRC_TRANSPORT_MESSAGE_H_
 
@@ -75,10 +75,6 @@ enum class MessageType {
 inline constexpr int64_t kWireFrameBytes = 32;
 /// Per-chunk header within a message (offset + length).
 inline constexpr int64_t kWireChunkHeaderBytes = 16;
-/// Per-sub-message header inside a batched frame (see MessageBus batching):
-/// the batch carries from/iter once, each entry keeps its own to-port,
-/// type, layer, worker and step.
-inline constexpr int64_t kBatchEntryHeaderBytes = 12;
 
 /// One encoded span of a layer's flattened parameter space: `offset` floats
 /// into the layer (raw-float chunks; self-describing codec frames use 0)
@@ -116,11 +112,9 @@ struct Message {
   WireCodec codec = WireCodec::kRawFloat;
   std::vector<WireChunk> chunks;
 
-  /// Approximate wire size including framing, for traffic accounting.
+  /// Exact encoded frame size (frame header + chunk headers + encoded
+  /// words), for traffic accounting.
   int64_t WireBytes() const;
-  /// Chunk headers + encoded words only (what a batched frame carries per
-  /// entry, the message-level frame being shared).
-  int64_t PayloadBytes() const;
 };
 
 }  // namespace poseidon

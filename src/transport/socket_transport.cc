@@ -35,7 +35,7 @@ void SetNonBlocking(int fd) {
 }
 
 void SetNoDelay(int fd) {
-  // Latency over Nagle: the egress flusher already coalesces records into
+  // Latency over Nagle: the egress writer already coalesces records into
   // one writev, so there is nothing left for the kernel to batch.
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -64,7 +64,7 @@ int FillSockaddr(const SocketEndpoint& ep, sockaddr_storage* storage,
   return AF_INET;
 }
 
-// Blocking write of the full iovec array (the flusher thread owns the fd and
+// Blocking write of the full iovec array (the writer thread owns the fd and
 // may block; everything else runs on other threads). Returns false on a
 // connection error.
 bool WriteAll(int fd, std::vector<iovec> iov) {
@@ -213,7 +213,7 @@ Status SocketTransport::ConnectAll() {
       return status;
     }
     Peer& peer = *peers_[static_cast<size_t>(p)];
-    peer.flusher = std::thread([this, p] { FlusherLoop(p); });
+    peer.writer = std::thread([this, p] { WriterLoop(p); });
   }
   return Status::Ok();
 }
@@ -346,7 +346,7 @@ Status SocketTransport::SendControl(int dst_process, uint16_t opcode,
   return Status::Ok();
 }
 
-void SocketTransport::FlusherLoop(int peer_index) {
+void SocketTransport::WriterLoop(int peer_index) {
   Peer& peer = *peers_[static_cast<size_t>(peer_index)];
   std::unique_lock<std::mutex> lock(peer.mutex);
   while (true) {
@@ -534,11 +534,12 @@ void SocketTransport::HandleRecord(uint8_t kind, uint16_t src_process,
                                    const uint8_t* body, int64_t size) {
   switch (static_cast<SocketRecordKind>(kind)) {
     case SocketRecordKind::kData: {
+      // A frame the bus rejects (malformed bytes, unknown message type or
+      // codec) carries a message some receiver is blocked on; dropping it
+      // would hang that peer forever, so the run fails here instead.
       const Status status = bus_->DeliverWire(body, size);
-      if (!status.ok()) {
-        LOG(Warning) << "transport: bad data record from process "
-                     << src_process << ": " << status.ToString();
-      }
+      CHECK(status.ok()) << "transport: rejected data record from process "
+                         << src_process << ": " << status.ToString();
       return;
     }
     case SocketRecordKind::kControl: {
@@ -566,7 +567,7 @@ void SocketTransport::Flush() {
     }
     Peer& peer = *peers_[static_cast<size_t>(p)];
     std::unique_lock<std::mutex> lock(peer.mutex);
-    if (!peer.flusher.joinable()) {
+    if (!peer.writer.joinable()) {
       continue;
     }
     peer.cv.notify_all();
@@ -591,8 +592,8 @@ void SocketTransport::Stop() {
     peer.idle_cv.notify_all();
   }
   for (auto& peer_ptr : peers_) {
-    if (peer_ptr->flusher.joinable()) {
-      peer_ptr->flusher.join();
+    if (peer_ptr->writer.joinable()) {
+      peer_ptr->writer.join();
     }
     if (peer_ptr->fd >= 0) {
       close(peer_ptr->fd);

@@ -8,7 +8,7 @@
 /// endpoint (TCP loopback/host port, or a Unix socket path) and dials one
 /// egress connection to every other process — a full mesh where, per peer,
 ///   * the dialed connection carries this process's egress only, fed by a
-///     dedicated flusher thread that drains a deque with batched writev
+///     dedicated writer thread that drains a deque with batched writev
 ///     (many records per syscall, never one write per message — the
 ///     userspace-networking idiom from SNIPPETS.md), and
 ///   * accepted connections carry ingress only, served by a single poll
@@ -68,7 +68,7 @@ struct SocketEndpoint {
 
 /// Record kinds on the byte stream.
 enum class SocketRecordKind : uint8_t {
-  kData = 0,     ///< body = one wire frame (message or batch)
+  kData = 0,     ///< body = one wire frame
   kControl = 1,  ///< body = u16 opcode + payload (rendezvous protocol)
 };
 
@@ -120,7 +120,7 @@ class SocketTransport : public Transport {
   Status Start(MessageBus* bus);
 
   /// Dials every other process, retrying refusals until connect_timeout_ms,
-  /// and starts one egress flusher per peer. Call after every process has
+  /// and starts one egress writer per peer. Call after every process has
   /// had Start() invoked (the launcher guarantees this by publishing the
   /// endpoint table only after binding all listeners).
   Status ConnectAll();
@@ -129,7 +129,7 @@ class SocketTransport : public Transport {
   /// was 0). Unix endpoints return 0.
   int listen_port() const { return listen_port_; }
 
-  /// Stops flushers and the poll thread, closes every socket, unlinks our
+  /// Stops writers and the poll thread, closes every socket, unlinks our
   /// Unix path. Idempotent; called by the destructor.
   void Stop();
 
@@ -179,7 +179,7 @@ class SocketTransport : public Transport {
   struct Peer {
     int fd = -1;
     std::mutex mutex;
-    std::condition_variable cv;       // wakes the flusher
+    std::condition_variable cv;       // wakes the writer
     std::condition_variable idle_cv;  // signals Flush waiters
     std::deque<std::vector<uint8_t>> queue;  // records ready to write
     std::priority_queue<ShimItem, std::vector<ShimItem>, ShimItemLater> shim_queue;
@@ -188,7 +188,7 @@ class SocketTransport : public Transport {
     bool stop = false;
     bool dead = false;  // write error: peer is gone
     int writing = 0;
-    std::thread flusher;
+    std::thread writer;
   };
 
   /// Ingress reassembly state for one accepted connection.
@@ -203,7 +203,7 @@ class SocketTransport : public Transport {
   /// it) on `peer`. `attempt` > 0 marks a retransmission.
   void EnqueueData(Peer& peer, int dst_process, std::vector<uint8_t> record,
                    int64_t record_seq, int attempt);
-  void FlusherLoop(int peer_index);
+  void WriterLoop(int peer_index);
   void PollLoop();
   /// Parses complete records out of `in.buffer`; returns false on a protocol
   /// error (connection is then dropped).

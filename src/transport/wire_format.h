@@ -2,12 +2,10 @@
 /// Byte-exact serialization of wire messages: the docs/WIRE_FORMAT.md frames
 /// become real bytes here, and the socket transport ships them verbatim.
 ///
-/// Layout invariant: an encoded message frame is exactly
-/// `Message::WireBytes()` bytes (32-byte frame header + per chunk a 16-byte
-/// chunk header + 4 bytes per payload word), and an encoded batch frame is
-/// exactly `kWireFrameBytes + sum(kBatchEntryHeaderBytes +
-/// entry.PayloadBytes())` bytes — the traffic accounting the bus, the cost
-/// model and the benches have always charged is the truth on the wire, not an
+/// Layout invariant: an encoded frame is exactly `Message::WireBytes()`
+/// bytes (32-byte frame header + per chunk a 16-byte chunk header + 4 bytes
+/// per payload word) — the traffic accounting the bus, the cost model and the
+/// benches have always charged is the truth on the wire, not an
 /// approximation. tests/wire_conformance_test.cc pins the exact bytes with a
 /// committed golden fixture.
 ///
@@ -29,16 +27,6 @@
 /// by length*4 payload bytes (float words copied bit-exactly, so bit-cast
 /// codec headers and 1-bit sign words survive).
 ///
-/// Batch frame: the same 32-byte header with type = kWireBatchType (0xFF),
-/// from/to ports zero, num_chunks = entry count, iter shared; then per entry
-/// a packed 12-byte header (three u32 words — port spaces, type, codec,
-/// chunk count, layer, worker, step, seq; see PackedEntry in wire_format.cc)
-/// followed by the entry's chunk headers and payload words. The packed
-/// header is why a batched logical message costs kBatchEntryHeaderBytes = 12
-/// instead of a full frame header; its field ranges (layer <= 1021,
-/// worker <= 61, step <= 125, 1023 chunks, seq <= 2^25 - 2) are CHECKed at
-/// encode.
-///
 /// `Message::send_ns` never crosses the wire: it is a per-process
 /// steady-clock stamp, meaningless on another machine. The receiving bus
 /// restamps it on ingress so delivery latency is measured entirely on the
@@ -59,32 +47,17 @@
 
 namespace poseidon {
 
-/// On-wire `type` byte marking a batched frame (plain messages use their
-/// MessageType value, all of which are < 0x80).
-inline constexpr uint8_t kWireBatchType = 0xFF;
-
 /// Serializes one message into an exact docs/WIRE_FORMAT.md frame. The
 /// result has size `message.WireBytes()`. CHECKs that header fields fit
 /// their wire widths (node/layer/worker/step in 16 bits, iter/seq in 32).
 std::vector<uint8_t> EncodeMessageFrame(const Message& message);
 
-/// Serializes a batch of same-(from node, to node, iter) messages into one
-/// batched frame: shared 32-byte header + per entry a packed 12-byte entry
-/// header + chunk headers + payload words. CHECKs the shared-field
-/// invariant and the packed-field ranges.
-std::vector<uint8_t> EncodeBatchFrame(const std::vector<Message>& entries);
-
-/// Decodes one frame (message or batch) into logical messages, in entry
-/// order. Payload words land in one fresh slab per frame; every chunk view
-/// aliases it (zero-copy fan-out on the receive side). Returns
-/// InvalidArgument/OutOfRange on truncated or malformed input — wire bytes
-/// must never crash a receiver.
-Status DecodeWireFrame(const uint8_t* data, int64_t size,
-                       std::vector<Message>* out);
-
-/// True when the frame bytes are a batched frame (size >= 1 and the type
-/// byte is kWireBatchType).
-bool IsBatchFrame(const uint8_t* data, int64_t size);
+/// Decodes one frame into `out`. Payload words land in one fresh slab per
+/// frame; every chunk view aliases it (zero-copy fan-out on the receive
+/// side). Returns InvalidArgument/OutOfRange on truncated or malformed input
+/// (an unknown message type or codec id included) — wire bytes must never
+/// crash a receiver.
+Status DecodeWireFrame(const uint8_t* data, int64_t size, Message* out);
 
 }  // namespace poseidon
 

@@ -20,7 +20,7 @@ namespace poseidon {
 namespace {
 
 // Models the wire hop: the receiver sees the same words in a different
-// slab (a batched frame is memcpy'd by the NIC, never reinterpreted).
+// slab (a frame is memcpy'd by the NIC, never reinterpreted).
 PayloadView Transit(const Payload& frame, Payload* storage) {
   *storage = Payload::Allocate(frame.size());
   std::memcpy(storage->data(), frame.data(),

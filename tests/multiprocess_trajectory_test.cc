@@ -36,7 +36,8 @@ constexpr int kIterations = 6;
 // make additional assertions about what the cluster reported.
 std::string LaunchAndExpectOracle(std::vector<std::string> args, int workers,
                                   int servers, int shards, int staleness,
-                                  PlanPolicy policy) {
+                                  PlanPolicy policy,
+                                  PlanCodecPolicy compression = PlanCodecPolicy::kNone) {
   const std::string dir = MakeTempDir("mp_trajectory");
   args.push_back("--workers=" + std::to_string(workers));
   args.push_back("--servers=" + std::to_string(servers));
@@ -50,9 +51,10 @@ std::string LaunchAndExpectOracle(std::vector<std::string> args, int workers,
     return run.log;
   }
 
-  const Trajectory oracle = CaptureTrajectory(
-      SmallTrainerOptions(workers, servers, shards, staleness, policy),
-      kIterations);
+  TrainerOptions options = SmallTrainerOptions(workers, servers, shards, staleness, policy);
+  options.ps_compression = compression;
+  options.compression_min_floats = 1;  // as poseidon_launch configures it
+  const Trajectory oracle = CaptureTrajectory(options, kIterations);
   const std::vector<double> mean = MeanLossesFromRun(dir, workers, kIterations);
   EXPECT_EQ(mean.size(), oracle.mean_losses.size());
   for (size_t i = 0; i < mean.size() && i < oracle.mean_losses.size(); ++i) {
@@ -102,10 +104,19 @@ TEST(MultiprocessTrajectoryTest, UnixColocatedClusterMatchesInProcess) {
                         /*staleness=*/0, PlanPolicy::kDense);
 }
 
-TEST(MultiprocessTrajectoryTest, BatchedEgressClusterMatchesInProcess) {
-  LaunchAndExpectOracle({"--transport=tcp", "--policy=dense", "--batch-egress"},
+TEST(MultiprocessTrajectoryTest, Int8TcpClusterMatchesInProcessBitwise) {
+  // Every process executes the plan's int8 codecs (seeded stochastic
+  // rounding, error feedback): the compressed trajectory crosses real
+  // sockets bit for bit.
+  LaunchAndExpectOracle({"--transport=tcp", "--policy=dense", "--ps-compression=int8"},
                         /*workers=*/2, /*servers=*/2, /*shards=*/2,
-                        /*staleness=*/0, PlanPolicy::kDense);
+                        /*staleness=*/0, PlanPolicy::kDense, PlanCodecPolicy::kInt8);
+  TrainerOptions raw = SmallTrainerOptions(2, 2, 2, 0, PlanPolicy::kDense);
+  TrainerOptions int8 = raw;
+  int8.ps_compression = PlanCodecPolicy::kInt8;
+  int8.compression_min_floats = 1;
+  EXPECT_FALSE(CaptureTrajectory(int8, kIterations) == CaptureTrajectory(raw, kIterations))
+      << "the int8 oracle trains raw fp32, so this leg would prove nothing";
 }
 
 TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {

@@ -11,9 +11,12 @@
 //     to feedback off — observation alone must not perturb training.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "src/nn/builders.h"
+#include "src/nn/dataset.h"
 #include "src/planner/comm_plan.h"
 #include "src/poseidon/trainer.h"
 #include "tests/testing/harness.h"
@@ -90,6 +93,57 @@ TEST(PlanTrainerTest, AutoPlanIsDeterministicAndTrains) {
   ASSERT_GE(first.mean_losses.size(), 2u);
   EXPECT_LT(first.mean_losses.back(), first.mean_losses.front())
       << "auto-planned run failed to reduce the training loss";
+}
+
+// The planner's message model against the runtime: the perfbench auto-deep
+// configuration (2 workers, 2 servers, a 20x64 MLP, joint auto plan) must
+// put on the busiest node's egress the messages the plan predicts per
+// iteration. Every message is its own frame, so the two agree exactly.
+TEST(PlanTrainerTest, PredictedMessagesMatchTheBusiestNode) {
+  DatasetConfig data;
+  data.num_classes = 10;
+  data.channels = 1;
+  data.height = 8;
+  data.width = 8;
+  data.train_size = 512;
+  data.seed = 5;
+  SyntheticDataset dataset(data);
+  NetworkFactory factory = [] {
+    Rng rng(7);
+    return BuildMlp(/*input_dim=*/64, /*hidden_dim=*/64, /*hidden_layers=*/20,
+                    /*classes=*/10, rng);
+  };
+  TrainerOptions options;
+  options.num_workers = 2;
+  options.num_servers = 2;
+  options.batch_per_worker = 16;
+  options.plan_mode = TrainerPlanMode::kAuto;
+  options.model_name = "auto-deep";
+  PoseidonTrainer trainer(factory, options);
+
+  constexpr int kCalibrationIters = 6;
+  trainer.Train(dataset, 2);  // warm-up
+  const std::vector<int64_t> before = trainer.bus().TxMessages();
+  trainer.Train(dataset, kCalibrationIters);
+  const std::vector<int64_t> after = trainer.bus().TxMessages();
+  int64_t busiest = 0;
+  for (size_t n = 0; n < after.size(); ++n) {
+    busiest = std::max(busiest, after[n] - before[n]);
+  }
+  const double measured = static_cast<double>(busiest) / kCalibrationIters;
+  ASSERT_GT(measured, 0.0);
+  EXPECT_NEAR(trainer.plan()->predicted_msgs / measured, 1.0, 0.05)
+      << "predicted " << trainer.plan()->predicted_msgs << " msgs/iter, measured "
+      << measured << " on the busiest node\n"
+      << trainer.plan()->Summary();
+}
+
+TEST(PlanTrainerDeathTest, BatchEgressIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TrainerOptions options = SmallTrainerOptions();
+  options.batch_egress = true;
+  EXPECT_DEATH({ PoseidonTrainer trainer(TinyMlpFactory(), options); },
+               "batch_egress is an inert leftover");
 }
 
 TEST(PlanTrainerTest, AdoptPlanIsANoOpOnMatchingHash) {

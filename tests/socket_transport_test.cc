@@ -212,17 +212,39 @@ TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
 }
 
-TEST(SocketTransportTest, MalformedDataRecordDoesNotCrashTheReceiver) {
-  // A data record whose body is not a valid frame must surface as a Status
-  // inside the poll thread (logged, connection preserved for the sender's
-  // next valid record), never a crash. We can't inject raw bytes through the
-  // public API, so exercise the bus half directly: DeliverWire on garbage.
+TEST(SocketTransportTest, DeliverWireRejectsGarbageWithAStatus) {
+  // The bus half of ingress: bytes that are not a valid frame come back as
+  // a Status (the transport then decides what a rejection means).
   SocketBusPair pair(/*unix_sockets=*/false);
   const std::vector<uint8_t> garbage(48, 0xEE);
   EXPECT_FALSE(
       pair.bus(1)
           .DeliverWire(garbage.data(), static_cast<int64_t>(garbage.size()))
           .ok());
+}
+
+// Ships `frame` from process 0 to process 1 as a raw data record and waits
+// for process 1's poll thread to handle it.
+void ShipRawFrame(std::vector<uint8_t> frame) {
+  SocketBusPair pair(/*unix_sockets=*/false);
+  pair.bus(1).Register(Address{1, kServerPort});
+  ASSERT_TRUE(pair.transport(0).SendFrame(0, 1, std::move(frame)).ok());
+  pair.Barrier(0, 1);
+}
+
+// A frame the receiving bus rejects carries a message some peer is blocked
+// on. Dropping it would hang that peer forever, so the receiver must fail
+// the run, naming the decode error.
+TEST(SocketTransportDeathTest, RejectedDataRecordFailsTheRun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<uint8_t> batch_type = EncodeMessageFrame(MakeDataMessage(0));
+  batch_type[0] = 0xFF;  // the type byte of the removed batch frame
+  EXPECT_DEATH(ShipRawFrame(batch_type),
+               "rejected data record from process 0: .*unknown message type 255");
+  std::vector<uint8_t> bad_codec = EncodeMessageFrame(MakeDataMessage(0));
+  bad_codec[1] = 0x7;  // one past the last WireCodec id
+  EXPECT_DEATH(ShipRawFrame(bad_codec),
+               "rejected data record from process 0: .*unknown codec 7");
 }
 
 // ---------------------------------------------- cluster-level conformance --
@@ -286,13 +308,6 @@ TEST(SocketClusterConformanceTest, Int8ClusterCompressesLikeTheInProcessTrainer)
   ExpectSameTrajectory(run.trajectory, Oracle(options));
   SocketClusterOptions raw;
   EXPECT_FALSE(run.trajectory == Oracle(raw)) << "the int8 run trained raw fp32";
-}
-
-TEST(SocketClusterConformanceTest, BatchedEgressMatchesTrajectory) {
-  SocketClusterOptions options;
-  options.batch_egress = true;  // PR-3 batcher cutting real batch frames
-  const SocketClusterRun run = RunSocketCluster(options);
-  ExpectSameTrajectory(run.trajectory, Oracle(options));
 }
 
 TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {

@@ -57,7 +57,6 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
         options.workers, options.servers, options.shards, options.staleness,
         options.policy);
     config.trainer.server_node_base = base;
-    config.trainer.batch_egress = options.batch_egress;
     config.trainer.ps_compression = options.compression;
     config.trainer.compression_min_floats = 1;
     config.hidden_layers = options.hidden_layers;

@@ -32,7 +32,6 @@ struct SocketClusterOptions {
   /// Host worker w and server w on the same bus node (server_node_base 0)
   /// instead of giving every role its own node/process.
   bool colocate = false;
-  bool batch_egress = false;
   /// Record-level socket weather, applied on every member's egress.
   FaultPlan shim;
 };

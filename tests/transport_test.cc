@@ -1,4 +1,4 @@
-// Tests for the in-process message bus, egress batcher and rate limiter.
+// Tests for the in-process message bus and rate limiter.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -78,7 +78,6 @@ TEST(BusTest, TrafficAccountingSkipsLocal) {
   const int64_t remote = bus.TxBytes(0);
   EXPECT_GT(remote, 400);  // 100 floats + headers
   EXPECT_EQ(bus.TxMessages(0), 1);
-  EXPECT_EQ(bus.TxEntries(0), 1);
   bus.ResetTraffic();
   EXPECT_EQ(bus.TxBytes(0), 0);
   EXPECT_EQ(bus.TxMessages(0), 0);
@@ -118,7 +117,7 @@ TEST(MessageTest, WireBytesCountsPayloads) {
   Message m = MakeChunkMessage(0, 1, kServerPort, 100);
   EXPECT_GE(m.WireBytes(), 400);
   EXPECT_LT(m.WireBytes(), 500);
-  EXPECT_EQ(m.WireBytes(), kWireFrameBytes + m.PayloadBytes());
+  EXPECT_EQ(m.WireBytes(), kWireFrameBytes + kWireChunkHeaderBytes + 100 * 4);
 }
 
 TEST(RateLimiterTest, ThrottlesToConfiguredRate) {
@@ -189,160 +188,6 @@ TEST(BusTest, ResetLimitDuringBlockedSendIsSafe) {
   ASSERT_TRUE(limiter->WaitUntilBlocked(1));
   bus.SetEgressLimit(0, 0.0);  // drop the limiter under the blocked sender
   sender.join();
-}
-
-// ------------------------------------------------------------- batching ----
-
-TEST(BatchingTest, CoalescesSameDestinationSameIter) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 4;
-  options.flush_interval_us = 200000;  // count threshold is the trigger
-  bus.EnableBatching(options);
-
-  for (int i = 0; i < 4; ++i) {
-    Message m = MakeChunkMessage(0, 1, kServerPort, 16, /*iter=*/7);
-    m.layer = i;
-    EXPECT_TRUE(bus.Send(std::move(m)).ok());
-  }
-  bus.FlushEgress();
-  EXPECT_EQ(bus.TxMessages(0), 1) << "4 same-(dst, iter) messages should be one frame";
-  EXPECT_EQ(bus.TxEntries(0), 4);
-  // All four delivered, in send order.
-  for (int i = 0; i < 4; ++i) {
-    auto received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(received->layer, i);
-  }
-}
-
-TEST(BatchingTest, BatchedFrameIsCheaperThanUnbatched) {
-  // Framing arithmetic: a batch pays kWireFrameBytes once plus a small
-  // per-entry header, vs a full frame per message unbatched.
-  MessageBus unbatched(2);
-  unbatched.Register(Address{1, kServerPort});
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(unbatched.Send(MakeChunkMessage(0, 1, kServerPort, 16)).ok());
-  }
-
-  MessageBus batched(2);
-  batched.Register(Address{1, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 8;
-  batched.EnableBatching(options);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(batched.Send(MakeChunkMessage(0, 1, kServerPort, 16)).ok());
-  }
-  batched.FlushEgress();
-
-  EXPECT_EQ(unbatched.TxMessages(0), 8);
-  EXPECT_EQ(batched.TxMessages(0), 1);
-  EXPECT_LT(batched.TxBytes(0), unbatched.TxBytes(0));
-  EXPECT_EQ(batched.TxEntries(0), unbatched.TxEntries(0));
-}
-
-TEST(BatchingTest, IterationBoundaryCutsBatch) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 100;
-  bus.EnableBatching(options);
-
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4, /*iter=*/0)).ok());
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4, /*iter=*/0)).ok());
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4, /*iter=*/1)).ok());
-  bus.FlushEgress();
-  EXPECT_EQ(bus.TxMessages(0), 2);  // one frame per iteration
-  // FIFO across the boundary.
-  EXPECT_EQ(mailbox->Pop()->iter, 0);
-  EXPECT_EQ(mailbox->Pop()->iter, 0);
-  EXPECT_EQ(mailbox->Pop()->iter, 1);
-}
-
-TEST(BatchingTest, TimerFlushGuaranteesProgress) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 1000;  // never reached
-  options.flush_interval_us = 2000;
-  bus.EnableBatching(options);
-
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4)).ok());
-  // No explicit flush: the flusher must deliver within the interval.
-  auto received = mailbox->Pop();
-  ASSERT_TRUE(received.has_value());
-}
-
-TEST(BatchingTest, ShutdownForcesFlush) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 1000;
-  options.flush_interval_us = 60000000;  // effectively never
-  bus.EnableBatching(options);
-
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 1, kServerPort, 4, /*iter=*/3)).ok());
-  Message shutdown;
-  shutdown.type = MessageType::kShutdown;
-  shutdown.from = Address{0, kSyncerPortBase};
-  shutdown.to = Address{1, kServerPort};
-  shutdown.iter = 3;
-  EXPECT_TRUE(bus.Send(std::move(shutdown)).ok());
-
-  // The push must arrive before the shutdown (per-destination FIFO).
-  auto first = mailbox->Pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->type, MessageType::kGradPush);
-  auto second = mailbox->Pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, MessageType::kShutdown);
-}
-
-TEST(BatchingTest, LocalTrafficBypassesBatcher) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{0, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 1000;
-  options.flush_interval_us = 60000000;
-  bus.EnableBatching(options);
-  EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 0, kServerPort, 4)).ok());
-  EXPECT_TRUE(mailbox->TryPop().has_value()) << "local send should deliver inline";
-  EXPECT_EQ(bus.TxBytes(0), 0);
-}
-
-// One node's throttled egress must not delay another node's batched sends:
-// each node has its own flusher.
-TEST(BatchingTest, ThrottledNodeDoesNotStallOtherNodesBatches) {
-  MessageBus bus(3);
-  auto mailbox = bus.Register(Address{2, kServerPort});
-  EgressBatchOptions options;
-  options.max_batch_messages = 2;
-  bus.EnableBatching(options);
-  bus.SetEgressLimit(0, 1e6);  // node 0 crawls (~0.4 s for its batch)
-
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(bus.Send(MakeChunkMessage(0, 2, kServerPort, 50000)).ok());  // slow batch
-  }
-  // Flusher 0 is blocked once it enters the limiter wait for its batch.
-  ASSERT_TRUE(bus.egress_limiter(0)->WaitUntilBlocked(1));
-
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_TRUE(bus.Send(MakeChunkMessage(1, 2, kServerPort, 16)).ok());
-  }
-  // Node 1's two-message batch must arrive promptly.
-  int node1_seen = 0;
-  while (node1_seen < 2) {
-    auto received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value());
-    if (received->from.node == 1) {
-      ++node1_seen;
-    }
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  EXPECT_LT(elapsed, 0.5) << "node 1's batch stalled behind node 0's throttled flusher";
 }
 
 }  // namespace

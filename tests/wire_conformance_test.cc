@@ -1,6 +1,6 @@
 // Wire-format conformance: the socket transport must emit exactly the bytes
 // docs/WIRE_FORMAT.md specifies — the same framing the cost model charges
-// (kWireFrameBytes / kWireChunkHeaderBytes / kBatchEntryHeaderBytes) — and
+// (kWireFrameBytes / kWireChunkHeaderBytes) — and
 // every codec's payload must decode bit-identically after the trip through
 // EncodeMessageFrame/DecodeWireFrame.
 //
@@ -125,51 +125,6 @@ Message SfBroadcast() {
   return m;
 }
 
-// A batched frame exercising all three compressed port spaces (raw syncer
-// port, collective port, monitor port) under one shared (from, to, iter).
-std::vector<Message> BatchEntries() {
-  static Payload slab = [] {
-    Payload p = Payload::Allocate(6);
-    for (int64_t i = 0; i < 6; ++i) {
-      p.data()[i] = 1.0f / static_cast<float>(i + 1);
-    }
-    return p;
-  }();
-  Message a;
-  a.type = MessageType::kGradPush;
-  a.codec = WireCodec::kRawFloat;
-  a.from = Address{1, kSyncerPortBase + 2};
-  a.to = Address{3, kServerPort + 1};
-  a.layer = 2;
-  a.worker = 1;
-  a.iter = 4;
-  a.seq = 11;
-  a.chunks.push_back(WireChunk{8, slab.View(0, 4)});
-
-  Message b;
-  b.type = MessageType::kCollective;
-  b.codec = WireCodec::kRawFloat;
-  b.from = Address{1, kCollectivePortBase + 2};
-  b.to = Address{3, kCollectivePortBase + 2};
-  b.layer = 2;
-  b.worker = 1;
-  b.iter = 4;
-  b.step = 3;
-  b.seq = 12;
-  b.chunks.push_back(WireChunk{0, slab.View(4, 2)});
-
-  Message c;
-  c.type = MessageType::kHeartbeat;
-  c.codec = WireCodec::kRawFloat;
-  c.from = Address{1, kMonitorPort};
-  c.to = Address{3, kMonitorPort};
-  c.layer = -1;
-  c.worker = 1;
-  c.iter = 4;
-  c.seq = -1;  // heartbeats ride unsequenced
-  return {a, b, c};
-}
-
 void ExpectSameMessage(const Message& got, const Message& want) {
   EXPECT_EQ(static_cast<int>(got.type), static_cast<int>(want.type));
   EXPECT_EQ(static_cast<int>(got.codec), static_cast<int>(want.codec));
@@ -201,7 +156,6 @@ std::map<std::string, std::vector<uint8_t>> AllFrames() {
   frames["raw_push"] = EncodeMessageFrame(RawPush());
   frames["onebit_push"] = EncodeMessageFrame(OneBitPush());
   frames["sf_broadcast"] = EncodeMessageFrame(SfBroadcast());
-  frames["batch_mixed_ports"] = EncodeBatchFrame(BatchEntries());
   return frames;
 }
 
@@ -212,19 +166,12 @@ TEST(WireConformanceTest, LayoutConstantsAreTheAccountedOnes) {
   // golden fixture alike; they may never drift.
   EXPECT_EQ(kWireFrameBytes, 32);
   EXPECT_EQ(kWireChunkHeaderBytes, 16);
-  EXPECT_EQ(kBatchEntryHeaderBytes, 12);
 }
 
 TEST(WireConformanceTest, FrameSizeIsExactlyTheAccountedWireBytes) {
   for (const Message& m : {RawPush(), OneBitPush(), SfBroadcast()}) {
     EXPECT_EQ(static_cast<int64_t>(EncodeMessageFrame(m).size()), m.WireBytes());
   }
-  const std::vector<Message> batch = BatchEntries();
-  int64_t expected = kWireFrameBytes;
-  for (const Message& m : batch) {
-    expected += kBatchEntryHeaderBytes + m.PayloadBytes();
-  }
-  EXPECT_EQ(static_cast<int64_t>(EncodeBatchFrame(batch).size()), expected);
 }
 
 TEST(WireConformanceTest, HeaderFieldsSitAtTheDocumentedOffsets) {
@@ -252,10 +199,6 @@ TEST(WireConformanceTest, HeaderFieldsSitAtTheDocumentedOffsets) {
   EXPECT_EQ(static_cast<int>(frame[28]) | (frame[29] << 8) | (frame[30] << 16) |
                 (frame[31] << 24),
             5);  // seq
-  EXPECT_FALSE(IsBatchFrame(frame.data(), static_cast<int64_t>(frame.size())));
-  const std::vector<uint8_t> batch = EncodeBatchFrame(BatchEntries());
-  EXPECT_EQ(batch[0], kWireBatchType);
-  EXPECT_TRUE(IsBatchFrame(batch.data(), static_cast<int64_t>(batch.size())));
 }
 
 TEST(WireConformanceTest, GoldenBytesMatchTheCommittedFixture) {
@@ -283,53 +226,31 @@ TEST(WireConformanceTest, GoldenBytesMatchTheCommittedFixture) {
 
 TEST(WireConformanceTest, SingleFramesDecodeBitExactly) {
   for (const Message& original : {RawPush(), OneBitPush(), SfBroadcast()}) {
-    const std::vector<uint8_t> frame = EncodeMessageFrame(original);
-    std::vector<Message> decoded;
+    Message sent = original;
+    sent.send_ns = 12345;  // a sender-clock stamp that must stay behind
+    const std::vector<uint8_t> frame = EncodeMessageFrame(sent);
+    Message decoded;
     const Status status =
         DecodeWireFrame(frame.data(), static_cast<int64_t>(frame.size()), &decoded);
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_EQ(decoded.size(), 1u);
-    ExpectSameMessage(decoded[0], original);
-    EXPECT_EQ(decoded[0].send_ns, 0) << "send_ns must never cross the wire";
-  }
-}
-
-TEST(WireConformanceTest, BatchFramesDecodeBitExactly) {
-  const std::vector<Message> originals = BatchEntries();
-  const std::vector<uint8_t> frame = EncodeBatchFrame(originals);
-  std::vector<Message> decoded;
-  const Status status =
-      DecodeWireFrame(frame.data(), static_cast<int64_t>(frame.size()), &decoded);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  ASSERT_EQ(decoded.size(), originals.size());
-  for (size_t i = 0; i < originals.size(); ++i) {
-    SCOPED_TRACE("batch entry " + std::to_string(i));
-    ExpectSameMessage(decoded[i], originals[i]);
+    ExpectSameMessage(decoded, original);
+    EXPECT_EQ(decoded.send_ns, 0) << "send_ns must never cross the wire";
   }
 }
 
 TEST(WireConformanceTest, CompressedCodecIdsCrossTheWire) {
   // fp16 / int8 / top-k pushes ride the same frames as the paper's codecs:
-  // both the single-frame and the batch-entry decoder must accept their ids.
+  // the decoder must accept their ids.
   for (WireCodec id : {WireCodec::kFp16, WireCodec::kInt8, WireCodec::kTopK}) {
     SCOPED_TRACE(WireCodecName(id));
-    std::vector<Message> entries = BatchEntries();
-    entries[0].codec = id;
     Message single = RawPush();
     single.codec = id;
-    const std::vector<uint8_t> frames[] = {EncodeMessageFrame(single),
-                                           EncodeBatchFrame(entries)};
-    const std::vector<Message> originals[] = {{single}, entries};
-    for (int f = 0; f < 2; ++f) {
-      std::vector<Message> decoded;
-      const Status status = DecodeWireFrame(
-          frames[f].data(), static_cast<int64_t>(frames[f].size()), &decoded);
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      ASSERT_EQ(decoded.size(), originals[f].size());
-      for (size_t i = 0; i < decoded.size(); ++i) {
-        ExpectSameMessage(decoded[i], originals[f][i]);
-      }
-    }
+    const std::vector<uint8_t> frame = EncodeMessageFrame(single);
+    Message decoded;
+    const Status status =
+        DecodeWireFrame(frame.data(), static_cast<int64_t>(frame.size()), &decoded);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectSameMessage(decoded, single);
   }
 }
 
@@ -339,19 +260,18 @@ TEST(WireConformanceTest, DecodedPayloadsReconstructThroughTheCodecRegistry) {
   // bitwise identical before and after the socket trip.
   for (const Message& original : {OneBitPush(), SfBroadcast()}) {
     const std::vector<uint8_t> frame = EncodeMessageFrame(original);
-    std::vector<Message> decoded;
+    Message decoded;
     ASSERT_TRUE(
         DecodeWireFrame(frame.data(), static_cast<int64_t>(frame.size()), &decoded)
             .ok());
-    ASSERT_EQ(decoded.size(), 1u);
-    const Codec* codec = CodecRegistry::Find(decoded[0].codec);
+    const Codec* codec = CodecRegistry::Find(decoded.codec);
     ASSERT_NE(codec, nullptr);
     Tensor before, after;
     std::vector<float> bias_before, bias_after;
     ASSERT_TRUE(
         codec->Decode(original.chunks[0].view, &before, &bias_before).ok());
     ASSERT_TRUE(
-        codec->Decode(decoded[0].chunks[0].view, &after, &bias_after).ok());
+        codec->Decode(decoded.chunks[0].view, &after, &bias_after).ok());
     ASSERT_EQ(before.size(), after.size());
     EXPECT_EQ(std::memcmp(before.data(), after.data(),
                           static_cast<size_t>(before.size()) * sizeof(float)),
@@ -362,21 +282,30 @@ TEST(WireConformanceTest, DecodedPayloadsReconstructThroughTheCodecRegistry) {
 
 TEST(WireConformanceTest, MalformedFramesReturnStatusNotCrash) {
   const std::vector<uint8_t> frame = EncodeMessageFrame(RawPush());
-  std::vector<Message> decoded;
+  Message decoded;
   // Truncations at every boundary: header, chunk header, payload.
   for (int64_t size : {int64_t{0}, int64_t{5}, kWireFrameBytes - 1,
                        kWireFrameBytes + 3, kWireFrameBytes + kWireChunkHeaderBytes,
                        static_cast<int64_t>(frame.size()) - 1}) {
-    decoded.clear();
     EXPECT_FALSE(DecodeWireFrame(frame.data(), size, &decoded).ok())
         << "truncation to " << size << " bytes decoded successfully";
   }
   // Trailing garbage must be rejected, not ignored.
   std::vector<uint8_t> padded = frame;
   padded.push_back(0xAB);
-  decoded.clear();
   EXPECT_FALSE(
       DecodeWireFrame(padded.data(), static_cast<int64_t>(padded.size()), &decoded)
+          .ok());
+  // Unknown type and codec ids, 0xFF (the removed batch-frame type) included.
+  std::vector<uint8_t> bad_type = frame;
+  bad_type[0] = 0xFF;
+  EXPECT_FALSE(
+      DecodeWireFrame(bad_type.data(), static_cast<int64_t>(bad_type.size()), &decoded)
+          .ok());
+  std::vector<uint8_t> bad_codec = frame;
+  bad_codec[1] = static_cast<uint8_t>(WireCodec::kTopK) + 1;
+  EXPECT_FALSE(
+      DecodeWireFrame(bad_codec.data(), static_cast<int64_t>(bad_codec.size()), &decoded)
           .ok());
 }
 

@@ -43,9 +43,9 @@ struct LaunchArgs {
   int iters = 6;
   int hidden_layers = 2;
   std::string policy = "dense";
+  std::string ps_compression = "none";
   std::string transport = "tcp";  // tcp | unix
   bool colocate = false;
-  bool batch_egress = false;
   std::string out;
   int timeout_s = 180;
 
@@ -68,7 +68,8 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s [--workers=N] [--servers=N] [--shards=N] [--staleness=N]\n"
       "          [--iters=N] [--hidden-layers=N] [--policy=dense|sfb|hybrid|onebit]\n"
-      "          [--transport=tcp|unix] [--colocate] [--batch-egress]\n"
+      "          [--ps-compression=none|fp16|int8|topk]\n"
+      "          [--transport=tcp|unix] [--colocate]\n"
       "          [--shim-seed=N] [--shim-drop=P] [--shim-dup=P] [--shim-delay=P]\n"
       "          [--timeout-s=N] --out=DIR\n",
       argv0);
@@ -116,12 +117,12 @@ LaunchArgs Parse(int argc, char** argv) {
       args.hidden_layers = std::atoi(v.c_str());
     } else if (FlagValue(a, "--policy", &v)) {
       args.policy = v;
+    } else if (FlagValue(a, "--ps-compression", &v)) {
+      args.ps_compression = v;
     } else if (FlagValue(a, "--transport", &v)) {
       args.transport = v;
     } else if (std::strcmp(a, "--colocate") == 0) {
       args.colocate = true;
-    } else if (std::strcmp(a, "--batch-egress") == 0) {
-      args.batch_egress = true;
     } else if (FlagValue(a, "--out", &v)) {
       args.out = v;
     } else if (FlagValue(a, "--timeout-s", &v)) {
@@ -167,6 +168,15 @@ PlanPolicy ParsePolicy(const std::string& name) {
   std::exit(2);
 }
 
+PlanCodecPolicy ParseCompression(const std::string& name) {
+  if (name == "none") return PlanCodecPolicy::kNone;
+  if (name == "fp16") return PlanCodecPolicy::kFp16;
+  if (name == "int8") return PlanCodecPolicy::kInt8;
+  if (name == "topk") return PlanCodecPolicy::kTopK;
+  std::fprintf(stderr, "unknown --ps-compression=%s\n", name.c_str());
+  std::exit(2);
+}
+
 SocketEndpoint ParseEndpoint(const std::string& spec) {
   SocketEndpoint ep;
   const size_t colon = spec.rfind(':');
@@ -185,7 +195,10 @@ ClusterNodeConfig MakeNodeConfig(const LaunchArgs& args) {
       args.workers, args.servers, args.shards, args.staleness,
       ParsePolicy(args.policy));
   config.trainer.server_node_base = args.colocate ? 0 : args.workers;
-  config.trainer.batch_egress = args.batch_egress;
+  config.trainer.ps_compression = ParseCompression(args.ps_compression);
+  // Every TinyMlp layer sits below the default size floor, so the launcher
+  // compresses all of them (a policy would otherwise be a no-op here).
+  config.trainer.compression_min_floats = 1;
   config.hidden_layers = args.hidden_layers;
   config.iterations = args.iters;
   config.process = args.process;
