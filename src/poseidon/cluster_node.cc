@@ -45,21 +45,7 @@ Status ClusterNode::Run() {
   // Every process builds the same coordinator from the same shape; replicas
   // and the server master copies come from one deterministic factory.
   init_net_ = workloads::TinyMlpFactory(config_.hidden_layers)();
-  ClusterInfo cluster;
-  cluster.num_workers = t.num_workers;
-  cluster.num_servers = t.num_servers;
-  cluster.shards_per_server = t.shards_per_server;
-  cluster.server_node_base = t.server_node_base;
-  cluster.staleness = t.staleness;
-  cluster.batch_per_worker = t.batch_per_worker;
-  cluster.kv_pair_bytes = t.kv_pair_bytes;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  plan_ = RuntimePlan(*coordinator_, t);
-  if (plan_->ps_shards != cluster.shards_per_server) {
-    cluster.shards_per_server = plan_->ps_shards;
-    coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  }
-  CheckRuntimePlan(*plan_, *coordinator_);
+  plan_ = AssembleRuntime(*init_net_, t, &coordinator_);
 
   bus_ = std::make_unique<MessageBus>(num_nodes);
   transport_ = std::make_shared<SocketTransport>(config_.transport);
@@ -76,7 +62,7 @@ Status ClusterNode::Run() {
     if (transport_->IsLocal(w)) local_workers_.push_back(w);
   }
   for (int s = 0; s < t.num_servers; ++s) {
-    if (transport_->IsLocal(cluster.ServerNode(s))) local_servers_.push_back(s);
+    if (transport_->IsLocal(coordinator_->cluster().ServerNode(s))) local_servers_.push_back(s);
   }
 
   // Register every local mailbox BEFORE announcing readiness: no data frame
@@ -143,19 +129,9 @@ Status ClusterNode::Run() {
   if (!status.ok()) return status;
 
   // Same teardown order as PoseidonTrainer::Shutdown, restricted to the
-  // local slice: poison each local shard, join, close mailboxes, stop I/O.
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    for (int shard = 0; shard < servers_[i]->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(local_servers_[i], shard);
-      const Status sent = bus_->Send(std::move(shutdown));
-      CHECK(sent.ok()) << sent.ToString();
-    }
-  }
+  // local slice: stop each local shard, close mailboxes, stop I/O.
   for (auto& server : servers_) {
-    server->Join();
+    server->Shutdown();
   }
   bus_->CloseAll();
   shim_counters_ = transport_->ShimCounters();

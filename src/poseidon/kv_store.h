@@ -10,6 +10,14 @@
 /// so a hot layer's serve path parallelizes across apply threads instead of
 /// serializing behind one service loop.
 ///
+/// Every layer a shard hosts runs through one state machine. A PS layer is
+/// the shard's pairs of it; a 1-bit layer, whose encoding is not sliceable,
+/// is one pair at offset 0 (weight, then bias) on its owner shard. Per layer
+/// the shard keeps one parameter slab, one pending buffer of pushes per
+/// clock, one applied-clock cursor and one list of waiting reads; only the
+/// step that turns a clock's contributions into the averaged gradient
+/// depends on the push codec (see KvShard::Apply).
+///
 /// Consistency is Stale Synchronous Parallel (SSP) with bound `s =
 /// ClusterInfo::staleness`:
 ///   * every gradient push carries its worker's clock (iteration);
@@ -25,6 +33,11 @@
 /// is answered immediately from the freshest applied values and the worker
 /// runs ahead — at most `s + 1` clocks ahead of the slowest worker.
 ///
+/// Codec frames (compressed PS pushes and 1-bit pushes) are wire input: a
+/// frame whose codec, offsets or shape do not match the layer drops the
+/// push whole and counts it in rejected_pushes(). Raw fp32 pushes are
+/// trusted and CHECKed.
+///
 /// Crash recovery (docs/FAULT_TOLERANCE.md): a restarted worker replays its
 /// in-flight clock by re-pushing every layer. The shard reconciles replays
 /// so each (layer, clock) aggregate is applied exactly once:
@@ -38,6 +51,7 @@
 #ifndef POSEIDON_SRC_POSEIDON_KV_STORE_H_
 #define POSEIDON_SRC_POSEIDON_KV_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -60,7 +74,7 @@ namespace poseidon {
 
 /// One key-range shard: a mailbox, an apply thread, and the master copy (and
 /// optimizer state) of every KV pair the coordinator assigned to
-/// (`server_id`, `shard_id`), plus whole-layer state for 1-bit layers this
+/// (`server_id`, `shard_id`), including the whole of every 1-bit layer this
 /// endpoint owns.
 class KvShard {
  public:
@@ -94,16 +108,15 @@ class KvShard {
   /// Pushes answered without contributing to an aggregate: replays of an
   /// already-applied clock, or duplicates of an already-buffered slot.
   int64_t reconciled_pushes() const { return reconciled_pushes_; }
-  /// Compressed pushes dropped whole for a codec mismatch or a malformed
-  /// frame (a bad frame must never crash the server or poison an aggregate).
+  /// Codec-frame pushes (compressed PS or 1-bit) dropped whole for a codec
+  /// mismatch or a malformed or misshapen frame (a bad frame must never
+  /// crash the server or poison an aggregate).
   int64_t rejected_pushes() const { return rejected_pushes_; }
   /// Replies that could not be delivered (receiver endpoint closed — the
   /// crash window between worker death and restart).
   int64_t replies_dropped() const { return replies_dropped_; }
   /// Layers with state hosted on this shard (dense pairs or 1-bit owner).
-  int owned_layers() const {
-    return static_cast<int>(dense_layers_.size() + onebit_layers_.size());
-  }
+  int owned_layers() const { return static_cast<int>(layers_.size()); }
   /// Max over pushes of (push clock - applied clock at arrival): how far the
   /// fastest worker ran ahead of the global aggregate. SSP bounds this by
   /// staleness + 1. (Read after Join.)
@@ -134,44 +147,44 @@ class KvShard {
     int64_t enqueue_ns = 0;
     bool deferred = false;
   };
-  /// SSP bookkeeping for the dense pairs of one layer on this shard. The
-  /// master copies live in one refcounted slab, so a BSP parameter reply
-  /// can alias it zero-copy (the clock protocol guarantees every released
-  /// reader finishes before the next apply can start; with staleness > 0
-  /// later applies may overlap a reader, so replies snapshot instead).
-  struct DenseLayerState {
+  /// One clock's buffered pushes: per worker, one view per pair (in pair
+  /// order) into the sender's slab, buffered zero-copy until the clock's
+  /// aggregate is applied. The clock is complete when `pushes` reaches the
+  /// worker count.
+  struct PendingClock {
+    int pushes = 0;
+    std::vector<std::vector<PayloadView>> contributions;
+  };
+  /// SSP bookkeeping for one layer on this shard. The master copies live in
+  /// one refcounted slab, so a BSP parameter reply can alias it zero-copy
+  /// (the clock protocol guarantees every released reader finishes before
+  /// the next apply can start; with staleness > 0 later applies may overlap
+  /// a reader, so replies snapshot instead).
+  struct LayerState {
+    /// The shard's pairs of a PS layer; a 1-bit layer is one pair at
+    /// offset 0 holding the weight, then the bias.
     std::vector<PairState> pairs;
     Payload params;  ///< concatenated pair values, pair order
-    /// clock -> per-worker pending push chunks, one view per pair (in pair
-    /// order), referencing the sender's staging slab. Buffered zero-copy
-    /// until the clock's aggregate is applied.
-    std::map<int64_t, std::vector<std::vector<PayloadView>>> pending;
-    std::map<int64_t, int> push_count;
-    int64_t applied_clock = -1;
-    std::vector<WaitingRead> waiting_reads;
-  };
-  struct OneBitLayerState {
-    Payload value;  ///< whole flattened layer (weight then bias)
-    int64_t rows = 0;
-    int64_t cols = 0;
-    /// clock -> per-worker pending 1-bit frames (views into sender slabs).
-    std::map<int64_t, std::vector<PayloadView>> pending;
-    std::map<int64_t, int> push_count;
+    /// The codec every push must carry: kRawFloat, a PS compression codec,
+    /// or kOneBit.
+    WireCodec push_codec = WireCodec::kRawFloat;
+    std::map<int64_t, PendingClock> pending;
     int64_t applied_clock = -1;
     std::vector<WaitingRead> waiting_reads;
   };
 
   void ServiceLoop();
-  /// The layer's planned wire-compression mode.
-  GradCompression layer_compression(int layer) const;
-  /// The push codec `layer_compression` implies.
-  static WireCodec ExpectedPushCodec(GradCompression compression);
-  void HandleGradPush(const Message& message);
-  void HandleOneBitPush(const Message& message);
-  void ApplyDense(int layer, int64_t clock);
-  void ApplyOneBit(int layer, int64_t clock);
-  void ReleaseDenseReads(int layer);
-  void ReleaseOneBitReads(int layer);
+  /// Reconciles one push (kGradPush or kOneBitPush), applies every complete
+  /// clock in order, then releases the reads the SSP gate allows.
+  void HandlePush(const Message& message);
+  /// Whether `chunk` is a well-formed `state.push_codec` frame for `pair`
+  /// of `layer` (offset, codec framing, and the layer's shape).
+  bool FrameFits(const LayerState& state, int layer, const PairState& pair,
+                 const WireChunk& chunk) const;
+  /// Averages clock `clock`'s contributions in worker order and steps the
+  /// optimizer over the layer's slab.
+  void Apply(int layer, LayerState& state, int64_t clock);
+  void ReleaseReads(int layer, LayerState& state);
   /// Queues (worker, clock) for release unless already pending (replayed
   /// pushes must never earn a second reply).
   static void AddWaitingRead(std::vector<WaitingRead>* reads, int worker, int64_t clock);
@@ -179,20 +192,18 @@ class KvShard {
   void RecordSspStall(const WaitingRead& read);
   /// Ships one parameter reply; tolerates a dead destination endpoint.
   void SendReply(int layer, int worker, int64_t clock, std::vector<WireChunk> chunks,
-                 WireCodec codec = WireCodec::kRawFloat);
+                 WireCodec codec);
 
   const int server_;
   const int shard_;
   const int staleness_;
   const Coordinator& coordinator_;
-  std::vector<GradCompression> compression_;  // per layer, from the plan
   MessageBus* bus_;
   SgdOptimizer optimizer_;
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
   std::thread thread_;
 
-  std::unordered_map<int, DenseLayerState> dense_layers_;
-  std::unordered_map<int, OneBitLayerState> onebit_layers_;
+  std::unordered_map<int, LayerState> layers_;
   int64_t pushes_processed_ = 0;
   int64_t applies_ = 0;
   int64_t reconciled_pushes_ = 0;
@@ -218,31 +229,51 @@ class KvServer {
 
   /// Spawns every shard's service thread.
   void Start();
-  /// Joins every shard (each after its kShutdown message).
-  void Join();
+  /// Sends every shard its kShutdown message over the bus, then joins them.
+  void Shutdown();
 
   int id() const { return id_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const KvShard& shard(int i) const { return *shards_[static_cast<size_t>(i)]; }
 
   /// Gradient-push messages processed across all shards (for tests).
-  int64_t pushes_processed() const;
-  /// Aggregate applies / reconciled replays / dropped replies across shards
-  /// (the exactly-once accounting; see KvShard).
-  int64_t applies() const;
-  int64_t reconciled_pushes() const;
-  int64_t rejected_pushes() const;
-  int64_t replies_dropped() const;
+  int64_t pushes_processed() const { return Sum(&KvShard::pushes_processed); }
+  /// Aggregate applies / reconciled replays / rejected pushes / dropped
+  /// replies across shards (the exactly-once accounting; see KvShard).
+  int64_t applies() const { return Sum(&KvShard::applies); }
+  int64_t reconciled_pushes() const { return Sum(&KvShard::reconciled_pushes); }
+  int64_t rejected_pushes() const { return Sum(&KvShard::rejected_pushes); }
+  int64_t replies_dropped() const { return Sum(&KvShard::replies_dropped); }
   /// Layers with state hosted on this server, summed over shards.
-  int owned_layers() const;
+  int owned_layers() const { return static_cast<int>(Sum(&KvShard::owned_layers)); }
   /// Max push lead / observed reply staleness across shards (see KvShard).
-  int64_t max_push_lead() const;
-  int64_t max_reply_gap() const;
+  int64_t max_push_lead() const { return Max(&KvShard::max_push_lead); }
+  int64_t max_reply_gap() const { return Max(&KvShard::max_reply_gap); }
   /// Total SSP gate time across shards (see KvShard::ssp_stall_ns).
-  int64_t SspStallNs() const;
+  int64_t SspStallNs() const { return Sum(&KvShard::ssp_stall_ns); }
 
  private:
+  /// One per-shard counter summed, or maxed, over this server's shards.
+  template <typename Counter>
+  int64_t Sum(Counter counter) const {
+    int64_t total = 0;
+    for (const auto& shard : shards_) {
+      total += ((*shard).*counter)();
+    }
+    return total;
+  }
+  template <typename Counter>
+  int64_t Max(Counter counter) const {
+    int64_t max = 0;
+    for (const auto& shard : shards_) {
+      max = std::max<int64_t>(max, ((*shard).*counter)());
+    }
+    return max;
+  }
+
   const int id_;
+  const Coordinator& coordinator_;
+  MessageBus* bus_;
   std::vector<std::unique_ptr<KvShard>> shards_;
 };
 

@@ -50,25 +50,7 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
     }
   }
 
-  CHECK_GE(options_.shards_per_server, 0);
-  CHECK_GE(options_.staleness, 0);
-  ClusterInfo cluster;
-  cluster.num_workers = options_.num_workers;
-  cluster.num_servers = options_.num_servers;
-  cluster.shards_per_server = std::max(1, options_.shards_per_server);
-  cluster.server_node_base = options_.server_node_base;
-  cluster.staleness = options_.staleness;
-  cluster.batch_per_worker = options_.batch_per_worker;
-  cluster.kv_pair_bytes = options_.kv_pair_bytes;
-  coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  plan_ = RuntimePlan(*coordinator_, options_);
-  if (plan_->ps_shards != cluster.shards_per_server) {
-    // The plan sized the shard pool (auto-sharding, or a fixed/auto plan's
-    // own count): repartition the KV pairs over that endpoint space.
-    cluster.shards_per_server = plan_->ps_shards;
-    coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
-  }
-  CheckRuntimePlan(*plan_, *coordinator_);
+  plan_ = AssembleRuntime(*init_net_, options_, &coordinator_);
 
   for (int s = 0; s < options_.num_servers; ++s) {
     servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
@@ -173,6 +155,31 @@ void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator) {
   }
 }
 
+std::shared_ptr<const CommPlan> AssembleRuntime(Network& init_net,
+                                                const TrainerOptions& options,
+                                                std::unique_ptr<Coordinator>* coordinator) {
+  CHECK_GE(options.shards_per_server, 0);
+  CHECK_GE(options.staleness, 0);
+  ClusterInfo cluster;
+  cluster.num_workers = options.num_workers;
+  cluster.num_servers = options.num_servers;
+  cluster.shards_per_server = std::max(1, options.shards_per_server);
+  cluster.server_node_base = options.server_node_base;
+  cluster.staleness = options.staleness;
+  cluster.batch_per_worker = options.batch_per_worker;
+  cluster.kv_pair_bytes = options.kv_pair_bytes;
+  *coordinator = std::make_unique<Coordinator>(init_net, cluster);
+  std::shared_ptr<const CommPlan> plan = RuntimePlan(**coordinator, options);
+  if (plan->ps_shards != cluster.shards_per_server) {
+    // The plan sized the shard pool (auto-sharding, or a fixed/auto plan's
+    // own count): repartition the KV pairs over that endpoint space.
+    cluster.shards_per_server = plan->ps_shards;
+    *coordinator = std::make_unique<Coordinator>(init_net, cluster);
+  }
+  CheckRuntimePlan(*plan, **coordinator);
+  return plan;
+}
+
 void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   CHECK(!shut_down_);
   CHECK(new_plan != nullptr);
@@ -189,17 +196,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   // Quiesce the old communication stack. Workers are parked between Train()
   // windows, so nothing is in flight beyond the shards' run loops.
   for (auto& server : servers_) {
-    for (int shard = 0; shard < server->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(server->id(), shard);
-      const Status status = bus_->Send(std::move(shutdown));
-      CHECK(status.ok()) << status.ToString();
-    }
-  }
-  for (auto& server : servers_) {
-    server->Join();
+    server->Shutdown();
   }
   bus_->CloseAll();
   clients_.clear();
@@ -279,17 +276,7 @@ void PoseidonTrainer::Shutdown() {
     detector_->Shutdown();
   }
   for (auto& server : servers_) {
-    for (int shard = 0; shard < server->num_shards(); ++shard) {
-      Message shutdown;
-      shutdown.type = MessageType::kShutdown;
-      shutdown.from = Address{0, kSyncerPortBase};
-      shutdown.to = coordinator_->cluster().ShardAddress(server->id(), shard);
-      const Status status = bus_->Send(std::move(shutdown));
-      CHECK(status.ok()) << status.ToString();
-    }
-  }
-  for (auto& server : servers_) {
-    server->Join();
+    server->Shutdown();
   }
   bus_->CloseAll();
 }

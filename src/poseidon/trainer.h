@@ -187,6 +187,15 @@ std::shared_ptr<const CommPlan> RuntimePlan(const Coordinator& coordinator,
 /// push) dies naming the layer.
 void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator);
 
+/// Assembles a runtime's coordinator and plan from `options`: builds the
+/// cluster shape and a coordinator over `init_net`, fetches RuntimePlan,
+/// rebuilds the coordinator at the plan's ps_shards when the plan sized the
+/// shard pool, and CheckRuntimePlan-s the result. The coordinator lands in
+/// `*coordinator`. The in-process trainer and every ClusterNode start here.
+std::shared_ptr<const CommPlan> AssembleRuntime(Network& init_net,
+                                                const TrainerOptions& options,
+                                                std::unique_ptr<Coordinator>* coordinator);
+
 struct IterationStats {
   int64_t iter = 0;
   double mean_loss = 0.0;      // across workers

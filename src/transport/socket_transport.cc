@@ -402,11 +402,14 @@ void SocketTransport::WriterLoop(int peer_index) {
         iov.push_back({record.data(), record.size()});
         batch_bytes += static_cast<int64_t>(record.size());
       }
-      if (WriteAll(peer.fd, std::move(iov))) {
-        records_sent_.fetch_add(static_cast<int64_t>(out.size()),
-                                std::memory_order_relaxed);
-        bytes_sent_.fetch_add(batch_bytes, std::memory_order_relaxed);
-      } else {
+      // Count the batch before writing it: the receiver may deliver it, and
+      // a reader may observe that, before writev returns here.
+      const int64_t batch_records = static_cast<int64_t>(out.size());
+      records_sent_.fetch_add(batch_records, std::memory_order_relaxed);
+      bytes_sent_.fetch_add(batch_bytes, std::memory_order_relaxed);
+      if (!WriteAll(peer.fd, std::move(iov))) {
+        records_sent_.fetch_sub(batch_records, std::memory_order_relaxed);
+        bytes_sent_.fetch_sub(batch_bytes, std::memory_order_relaxed);
         LOG(Warning) << "transport: write to process " << peer_index
                      << " failed (" << std::strerror(errno) << "); egress to it is dead";
         lock.lock();
@@ -520,8 +523,10 @@ bool SocketTransport::DrainIngress(Ingress& in) {
       break;  // incomplete: wait for more bytes
     }
     const uint16_t src = static_cast<uint16_t>(h[6] | (h[7] << 8));
-    HandleRecord(h[5], src, h + kSocketRecordHeaderBytes, len);
+    // Count the record before delivering it: a reader that has already
+    // popped the message must also see it counted.
     records_received_.fetch_add(1, std::memory_order_relaxed);
+    HandleRecord(h[5], src, h + kSocketRecordHeaderBytes, len);
     at += kSocketRecordHeaderBytes + len;
   }
   if (at > 0) {

@@ -119,6 +119,21 @@ TEST(MultiprocessTrajectoryTest, Int8TcpClusterMatchesInProcessBitwise) {
       << "the int8 oracle trains raw fp32, so this leg would prove nothing";
 }
 
+TEST(MultiprocessTrajectoryTest, OneBitTcpClusterMatchesInProcessBitwise) {
+  // Every FC layer pushes 1-bit frames (error feedback per worker) to its
+  // owner shard, which serves the whole layer as one pair: the quantized
+  // trajectory crosses real sockets bit for bit.
+  LaunchAndExpectOracle({"--transport=tcp", "--policy=onebit"},
+                        /*workers=*/2, /*servers=*/2, /*shards=*/2,
+                        /*staleness=*/0, PlanPolicy::kOneBit);
+  TrainerOptions onebit = SmallTrainerOptions(2, 2, 2, 0, PlanPolicy::kOneBit);
+  onebit.compression_min_floats = 1;
+  TrainerOptions dense = onebit;
+  dense.fc_policy = PlanPolicy::kDense;
+  EXPECT_FALSE(CaptureTrajectory(onebit, kIterations) == CaptureTrajectory(dense, kIterations))
+      << "the 1-bit oracle trains dense, so this leg would prove nothing";
+}
+
 TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {
   // Record-level weather on every process's egress: the cluster must train
   // to the exact clean trajectory, and the run must prove weather actually

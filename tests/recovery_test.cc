@@ -116,6 +116,31 @@ TEST(RecoveryTest, CrashAfterFullSendRecoversBitwise) {
   EXPECT_GT(TotalReconciled(trainer, options.num_servers), 0);
 }
 
+TEST(RecoveryTest, OneBitReplayAppliesExactlyOnce) {
+  // 1-bit layers are served by the same shard state machine as dense PS
+  // pairs, so a replay of a fully sent clock reconciles there too. The
+  // replica is not compared with a clean run: the checkpoint holds
+  // parameters only, and the restarted worker's 1-bit error-feedback
+  // residual starts from zero.
+  const SyntheticDataset dataset = TinyDataset();
+  TrainerOptions options = RecoveryOptions();
+  options.fc_policy = PlanPolicy::kOneBit;
+  options.crash = CrashPlan{/*worker=*/2, /*iter=*/4, /*layers_before_crash=*/1000};
+  PoseidonTrainer trainer(TinyMlpFactory(), options);
+  const auto stats = trainer.Train(dataset, kIters);
+  EXPECT_EQ(trainer.recoveries(), 1);
+  EXPECT_EQ(trainer.next_iter(), kIters);
+  int onebit_layers = 0;
+  for (const PlanLayerChoice& choice : trainer.plan()->layers) {
+    onebit_layers += choice.scheme == PlannedScheme::kOneBit ? 1 : 0;
+  }
+  ASSERT_GT(onebit_layers, 0) << "the plan serves no layer 1-bit";
+  ExpectExactlyOnceApplies(trainer, options.num_servers, kIters);
+  EXPECT_GT(TotalReconciled(trainer, options.num_servers), 0)
+      << "the replay never re-pushed anything the shards had seen";
+  EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);
+}
+
 TEST(RecoveryTest, CrashBeforeAnyPushRecoversBitwise) {
   // Degenerate window: the worker dies before pushing anything, so the
   // replay is the first (and only) push of its in-flight clock.

@@ -7,12 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
 #include "src/poseidon/coordinator.h"
+#include "src/poseidon/kv_store.h"
 #include "src/poseidon/trainer.h"
+#include "src/tensor/onebit.h"
+#include "src/transport/codec.h"
 
 namespace poseidon {
 namespace {
@@ -233,6 +238,180 @@ TEST(ShardedKvStoreTest, TwoWorkersNeverAutoShard) {
   options.shards_per_server = 0;  // auto
   options.fc_policy = PlanPolicy::kDense;
   EXPECT_EQ(RuntimePlan(coordinator, options)->ps_shards, 1);
+}
+
+// ----------------------------------------------------- shard wire input --
+// A KvServer on an in-process bus, fed hand-built pushes from two workers:
+// a codec frame that does not fit its layer must be dropped whole on
+// arrival, and the clock must still apply once the well-formed pushes land.
+
+class KvShardWireInputTest : public ::testing::Test {
+ protected:
+  static constexpr int kWorkers = 2;
+
+  /// Plans the 64-20-20-3 MLP for two workers and one single-shard server,
+  /// then starts the server and a reply mailbox per worker for `layer`.
+  void StartServer(TrainerOptions options) {
+    options.num_workers = kWorkers;
+    options.num_servers = 1;
+    options.shards_per_server = 1;
+    options.batch_per_worker = 8;
+    Rng rng(27);
+    net_ = BuildMlp(/*input_dim=*/64, /*hidden_dim=*/20, /*hidden_layers=*/2,
+                    /*classes=*/3, rng);
+    plan_ = AssembleRuntime(*net_, options, &coordinator_);
+    bus_ = std::make_unique<MessageBus>(coordinator_->cluster().NumNodes());
+    server_ = std::make_unique<KvServer>(0, /*first_iter=*/0, *coordinator_, *plan_, *net_,
+                                         bus_.get(), options.sgd);
+    server_->Start();
+  }
+
+  /// The first layer the plan serves with `scheme`.
+  int FirstLayer(PlannedScheme scheme) const {
+    for (size_t l = 0; l < plan_->layers.size(); ++l) {
+      if (plan_->layers[l].scheme == scheme) {
+        return static_cast<int>(l);
+      }
+    }
+    return -1;
+  }
+
+  void Register(int layer) {
+    for (int w = 0; w < kWorkers; ++w) {
+      replies_.push_back(bus_->Register(Address{w, kSyncerPortBase + layer}));
+    }
+  }
+
+  void Push(MessageType type, int layer, int worker, WireCodec codec,
+            std::vector<WireChunk> chunks) {
+    Message push;
+    push.type = type;
+    push.from = Address{worker, kSyncerPortBase + layer};
+    push.to = coordinator_->cluster().ShardAddress(0, 0);
+    push.layer = layer;
+    push.worker = worker;
+    push.iter = 0;
+    push.codec = codec;
+    push.chunks = std::move(chunks);
+    ASSERT_TRUE(bus_->Send(std::move(push)).ok());
+  }
+
+  /// Worker `w`'s clock-0 reply, or nullopt after a generous deadline.
+  std::optional<Message> Reply(int w) {
+    return replies_[static_cast<size_t>(w)]->PopFor(std::chrono::seconds(30));
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) {
+      server_->Shutdown();
+    }
+  }
+
+  std::unique_ptr<Network> net_;
+  std::unique_ptr<Coordinator> coordinator_;
+  std::shared_ptr<const CommPlan> plan_;
+  std::unique_ptr<MessageBus> bus_;
+  std::unique_ptr<KvServer> server_;
+  std::vector<std::shared_ptr<MessageBus::Mailbox>> replies_;
+};
+
+/// A 1-bit frame of a [rows, cols] gradient with a `bias_len` bias trailer.
+Payload OneBitFrame(int64_t rows, int64_t cols, int64_t bias_len) {
+  Tensor gradient({rows, cols});
+  for (int64_t i = 0; i < gradient.size(); ++i) {
+    gradient.data()[i] = static_cast<float>(i % 7) - 3.0f;
+  }
+  const std::vector<float> bias(static_cast<size_t>(bias_len), 0.5f);
+  OneBitQuantizer quantizer;
+  return OneBitCodec::Encode(gradient, &quantizer, bias.data(), bias_len);
+}
+
+TEST_F(KvShardWireInputTest, MisshapenOneBitFramesAreRejectedOnArrival) {
+  TrainerOptions options;
+  options.fc_policy = PlanPolicy::kOneBit;
+  StartServer(options);
+  const int layer = FirstLayer(PlannedScheme::kOneBit);
+  ASSERT_GE(layer, 0) << "the plan serves no layer 1-bit";
+  const LayerInfo& info = coordinator_->layer(layer);
+  ASSERT_NE(info.fc_m, info.fc_n) << "a transposed frame would fit";
+  Register(layer);
+
+  // Same float count as the layer, wrong shape: rows and cols swapped.
+  const Payload transposed = OneBitFrame(info.fc_n, info.fc_m, info.fc_m);
+  Push(MessageType::kOneBitPush, layer, 0, WireCodec::kOneBit, {{0, transposed.View()}});
+  const Payload short_bias = OneBitFrame(info.fc_m, info.fc_n, info.fc_m - 1);
+  Push(MessageType::kOneBitPush, layer, 1, WireCodec::kOneBit, {{0, short_bias.View()}});
+  const Payload good = OneBitFrame(info.fc_m, info.fc_n, info.fc_m);
+  Push(MessageType::kOneBitPush, layer, 0, WireCodec::kOneBit, {{0, good.View()}});
+  Push(MessageType::kOneBitPush, layer, 1, WireCodec::kOneBit, {{0, good.View()}});
+
+  for (int w = 0; w < kWorkers; ++w) {
+    const std::optional<Message> reply = Reply(w);
+    ASSERT_TRUE(reply.has_value()) << "worker " << w << " got no reply";
+    EXPECT_EQ(reply->iter, 0);
+    EXPECT_EQ(static_cast<int>(reply->codec), static_cast<int>(WireCodec::kRawFloat));
+    ASSERT_EQ(reply->chunks.size(), 1u) << "a 1-bit layer replies as one raw pair";
+    EXPECT_EQ(reply->chunks[0].offset, 0);
+    EXPECT_EQ(reply->chunks[0].view.size(), info.total_floats);
+  }
+  server_->Shutdown();
+  EXPECT_EQ(server_->rejected_pushes(), 2);
+  EXPECT_EQ(server_->pushes_processed(), 4);
+  EXPECT_EQ(server_->applies(), 1);
+  EXPECT_EQ(server_->reconciled_pushes(), 0);
+  server_.reset();
+}
+
+TEST_F(KvShardWireInputTest, Int8FrameWithWrongDenseCountIsRejectedOnArrival) {
+  TrainerOptions options;
+  options.fc_policy = PlanPolicy::kDense;
+  options.ps_compression = PlanCodecPolicy::kInt8;
+  options.compression_min_floats = 1;
+  StartServer(options);
+  const int layer = FirstLayer(PlannedScheme::kPS);
+  ASSERT_GE(layer, 0);
+  ASSERT_EQ(plan_->layers[static_cast<size_t>(layer)].compression, GradCompression::kInt8);
+  Register(layer);
+
+  const std::vector<KvPairInfo> pairs = coordinator_->PairsOnShard(layer, 0, 0);
+  ASSERT_FALSE(pairs.empty());
+  std::vector<float> gradient(static_cast<size_t>(coordinator_->layer(layer).total_floats),
+                              0.25f);
+  // `drop` floats short on the first pair: a frame that validates as int8
+  // but expands to the wrong dense count.
+  auto frames = [&](int64_t drop) {
+    std::vector<Payload> out;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const int64_t n = pairs[p].length - (p == 0 ? drop : 0);
+      out.push_back(Int8Codec::EncodeSr(gradient.data() + pairs[p].offset, n,
+                                        QuantSeed(layer, 0), pairs[p].offset, nullptr,
+                                        nullptr, 0));
+    }
+    return out;
+  };
+  auto chunks = [&](const std::vector<Payload>& payloads) {
+    std::vector<WireChunk> out;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      out.push_back({pairs[p].offset, payloads[p].View()});
+    }
+    return out;
+  };
+  const std::vector<Payload> bad = frames(/*drop=*/1);
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kInt8, chunks(bad));
+  const std::vector<Payload> good = frames(/*drop=*/0);
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kInt8, chunks(good));
+  Push(MessageType::kGradPush, layer, 1, WireCodec::kInt8, chunks(good));
+
+  for (int w = 0; w < kWorkers; ++w) {
+    const std::optional<Message> reply = Reply(w);
+    ASSERT_TRUE(reply.has_value()) << "worker " << w << " got no reply";
+    EXPECT_EQ(static_cast<int>(reply->codec), static_cast<int>(WireCodec::kFp16));
+    EXPECT_EQ(reply->chunks.size(), pairs.size());
+  }
+  server_->Shutdown();
+  EXPECT_EQ(server_->rejected_pushes(), 1);
+  EXPECT_EQ(server_->applies(), 1);
+  server_.reset();
 }
 
 }  // namespace
