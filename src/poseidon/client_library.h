@@ -35,6 +35,9 @@ class ClientLibrary {
   /// (scheme, PS codec, the plan's top-k density).
   ClientLibrary(int worker, const Coordinator& coordinator, const CommPlan& plan,
                 Network* net, MessageBus* bus, const SgdConfig& sgd, int num_threads);
+  /// Joins the pool first: a running sync job still writes `completion_`
+  /// and notifies `done_cv_`, which are declared (and destroyed) after it.
+  ~ClientLibrary() { pool_.Shutdown(); }
 
   ClientLibrary(const ClientLibrary&) = delete;
   ClientLibrary& operator=(const ClientLibrary&) = delete;

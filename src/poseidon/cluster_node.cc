@@ -17,9 +17,6 @@ ClusterNode::ClusterNode(ClusterNodeConfig config) : config_(std::move(config)) 
   CHECK_GE(t.shards_per_server, 1)
       << "multi-process clusters need an explicit shard count";
   CHECK_GE(t.server_node_base, 0);
-  CHECK(!t.enable_faults && !t.fault_plan.any())
-      << "bus-level fault injection is in-process only; use the transport's "
-         "loss shim (SocketTransportOptions::shim) for socket chaos";
   CHECK(!t.crash.active() && !t.failure_detection.enabled)
       << "crash/recovery plans are in-process-trainer features";
   CHECK(!t.batch_egress) << "TrainerOptions::batch_egress is an inert leftover: "
@@ -48,6 +45,10 @@ Status ClusterNode::Run() {
   plan_ = AssembleRuntime(*init_net_, t, &coordinator_);
 
   bus_ = std::make_unique<MessageBus>(num_nodes);
+  const bool faulty = t.enable_faults || t.fault_plan.any();
+  if (faulty) {
+    bus_->EnableFaultInjection(t.fault_plan);
+  }
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.
@@ -107,7 +108,7 @@ Status ClusterNode::Run() {
   for (const Status& ws : worker_status) {
     if (!ws.ok()) return ws;
   }
-  // Drain this process's egress (the socket queues) before
+  // Drain this process's egress (fault pump, then the socket queues) before
   // declaring completion, so process 0's shutdown decision never races
   // bytes still in our send path.
   bus_->FlushEgress();
@@ -134,12 +135,11 @@ Status ClusterNode::Run() {
     server->Shutdown();
   }
   bus_->CloseAll();
-  shim_counters_ = transport_->ShimCounters();
-  wire_counters_ = bus_->WireCounters();
+  faults_ = bus_->Faults();
   transport_->Stop();
-  if (config_.transport.shim.any()) {
-    LOG(Info) << "process " << config_.process << " shim: "
-              << FormatFaultCounters(shim_counters_);
+  if (faulty) {
+    LOG(Info) << "process " << config_.process << " fault fabric: "
+              << FormatFaultCounters(faults_);
   }
   LOG(Info) << "process " << config_.process << " clean exit; "
             << "tx records=" << transport_->records_sent()

@@ -34,10 +34,12 @@ namespace poseidon {
 /// `transport.self` differ.
 struct ClusterNodeConfig {
   /// Cluster shape, hyperparameters and plan source (RuntimePlan, exactly
-  /// as the in-process trainer resolves it). Fault injection, crash plans,
-  /// failure detection and plan feedback are in-process-trainer features and
-  /// must be off; `shards_per_server` must be explicit (>= 1) — auto-sharding
-  /// would require every process to agree on the resolved count.
+  /// as the in-process trainer resolves it). `fault_plan` / `enable_faults`
+  /// turn on this process's bus fault fabric, as in the trainer. Crash
+  /// plans, failure detection and plan feedback are in-process-trainer
+  /// features and must be off; `shards_per_server` must be explicit (>= 1) —
+  /// auto-sharding would require every process to agree on the resolved
+  /// count.
   TrainerOptions trainer;
   /// Hidden layers of the canonical TinyMlp workload (workloads.h).
   int hidden_layers = 2;
@@ -69,11 +71,10 @@ class ClusterNode {
   /// exit nonzero so the launcher kills the rest of the cluster.
   Status Run();
 
-  /// Post-Run() snapshots (all-zero before Run completes): what the lossy
-  /// shim injected on this process's egress, and what the bus's wire-ingress
-  /// sequencing layer observed (dedup / reorder / dropped replies).
-  FaultCountersSnapshot shim_counters() const { return shim_counters_; }
-  FaultCountersSnapshot wire_counters() const { return wire_counters_; }
+  /// Post-Run() snapshot of this process's bus fault counters (all zero
+  /// before Run completes): the weather its injector committed on egress
+  /// and what its reorder buffer repaired on ingress.
+  FaultCountersSnapshot faults() const { return faults_; }
 
  private:
   Status RunWorker(int w);
@@ -98,8 +99,7 @@ class ClusterNode {
   std::vector<std::vector<double>> losses_;
   std::vector<std::vector<double>> accuracies_;
 
-  FaultCountersSnapshot shim_counters_;
-  FaultCountersSnapshot wire_counters_;
+  FaultCountersSnapshot faults_;
 };
 
 }  // namespace poseidon

@@ -7,7 +7,7 @@
 /// chaos tests assert on them both positively ("this run really did see
 /// duplicates") and negatively ("nothing was deduplicated in a clean run").
 ///
-/// Each FaultInjector owns one FaultCounters instance (per-bus isolation:
+/// Each MessageBus owns one FaultCounters instance (per-bus isolation:
 /// two buses in one test never mix their weather). The counters are built
 /// on the stats::Counter metrics primitive, and every increment is also
 /// mirrored into MetricsRegistry::Default() under "fault.*" so the process
@@ -38,7 +38,7 @@ struct FaultCountersSnapshot {
   }
 };
 
-/// Monotonic counters owned by one FaultInjector (one per MessageBus).
+/// Monotonic counters owned by one MessageBus.
 /// Backed by the metrics registry primitives; see file comment.
 class FaultCounters {
  public:

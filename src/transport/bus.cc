@@ -29,15 +29,13 @@ MessageBus::MessageBus(int num_nodes)
 }
 
 MessageBus::~MessageBus() {
-  if (injector_ != nullptr) {
+  if (pump_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(pump_mutex_);
       pump_stop_ = true;
     }
     pump_cv_.notify_all();
-    if (pump_thread_.joinable()) {
-      pump_thread_.join();
-    }
+    pump_thread_.join();
   }
 }
 
@@ -76,17 +74,51 @@ void MessageBus::AccountRemote(int src, int dst, int64_t bytes,
   RecordLinkTx(src, dst, bytes);
 }
 
-Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
-                              std::shared_ptr<RateLimiter> limiter) {
-  const bool remote = message.from.node != message.to.node;
-  if (remote) {  // local traffic bypasses the NIC
-    AccountRemote(message.from.node, message.to.node, message.WireBytes(), limiter);
+Status MessageBus::Send(Message message) {
+  const int src = message.from.node;
+  const int dst = message.to.node;
+  CHECK_GE(src, 0);
+  CHECK_LT(src, num_nodes());
+
+  // A wire-remote destination's mailboxes live in another process: no local
+  // routing, the frame goes to the transport at commit instead.
+  const bool wire = IsWireRemote(dst);
+  std::shared_ptr<Mailbox> mailbox;
+  std::shared_ptr<RateLimiter> limiter;
+  if (wire) {
+    CHECK(transport_->IsLocal(src))
+        << "node " << src << " is not hosted by this process";
+    limiter = egress_limiter(src);
+  } else {
+    const Status routed = Route(message, &mailbox, &limiter);
+    if (!routed.ok()) {
+      return routed;
+    }
   }
-  if (remote && injector_ != nullptr && message.type != MessageType::kShutdown) {
-    InjectOrCommit(std::move(mailbox), std::move(message), /*attempt=*/0);
-    return Status::Ok();  // the link layer retransmits; delivery is eventual
-  }
-  if (remote) {
+  if (dst != src) {  // local traffic bypasses the NIC and the fault fabric
+    const bool data = message.type != MessageType::kShutdown;
+    // Sequence every remote data message a wire or the injector can
+    // reorder: the stream order fixed here is the order the receiver's
+    // reorder buffer will restore, whatever happens to the individual
+    // transmissions in between.
+    if (data && (wire || injector_ != nullptr)) {
+      message.seq = sequencer_.NextSeq(message.from, message.to);
+    }
+    // Stamp in-process remote messages at bus accept so RecordLinkDelivery()
+    // can report end-to-end delivery latency including injected fault
+    // delays. A wire message is restamped on the receiver's clock instead
+    // (DeliverWire): two processes' steady clocks are unrelated.
+    if (!wire && link_stats_enabled()) {
+      message.send_ns = SteadyNowNs();
+    }
+    AccountRemote(src, dst, message.WireBytes(), limiter);
+    if (data && injector_ != nullptr) {
+      InjectOrCommit(std::move(message), /*attempt=*/0);
+      return Status::Ok();  // the link layer retransmits; delivery is eventual
+    }
+    if (wire) {
+      return transport_->SendFrame(src, dst, EncodeMessageFrame(message));
+    }
     RecordLinkDelivery(message);
   }
   if (!mailbox->Push(std::move(message))) {
@@ -95,67 +127,11 @@ Status MessageBus::SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
   return Status::Ok();
 }
 
-Status MessageBus::SendViaTransport(Message message,
-                                    std::shared_ptr<RateLimiter> limiter) {
-  const int src = message.from.node;
-  const int dst = message.to.node;
-  AccountRemote(src, dst, message.WireBytes(), limiter);
-  return transport_->SendFrame(src, dst, EncodeMessageFrame(message));
-}
-
-Status MessageBus::Send(Message message) {
-  const int src = message.from.node;
-  CHECK_GE(src, 0);
-  CHECK_LT(src, num_nodes());
-
-  if (IsWireRemote(message.to.node)) {
-    // The destination's mailboxes live in another process: no local routing,
-    // the frame goes to the transport instead.
-    CHECK(transport_->IsLocal(src))
-        << "node " << src << " is not hosted by this process";
-    // Always sequence remote data traffic over a wire: real sockets (and
-    // the lossy shim especially) can duplicate and reorder records, and the
-    // receiving bus's reorder buffer needs the stream order fixed at send
-    // time. send_ns is NOT stamped — it would be meaningless on the
-    // receiver's clock; DeliverWire restamps at ingress.
-    if (message.type != MessageType::kShutdown) {
-      message.seq = wire_sequencer_->NextSeq(message.from, message.to);
-    }
-    return SendViaTransport(std::move(message), egress_limiter(src));
-  }
-
-  std::shared_ptr<Mailbox> mailbox;
-  std::shared_ptr<RateLimiter> limiter;
-  const Status routed = Route(message, &mailbox, &limiter);
-  if (!routed.ok()) {
-    return routed;
-  }
-  // Sequence every remote data message at send time: the stream order fixed
-  // here is the order the receiver's reorder buffer will restore, whatever
-  // the fault fabric does to the individual transmissions in between.
-  if (injector_ != nullptr && message.to.node != src &&
-      message.type != MessageType::kShutdown) {
-    message.seq = sequencer_->NextSeq(message.from, message.to);
-  }
-  // Stamp remote messages at bus accept so RecordLinkDelivery() can report
-  // end-to-end delivery latency including injected fault delays.
-  if (message.to.node != src && link_stats_enabled()) {
-    message.send_ns = SteadyNowNs();
-  }
-  return SendDirect(std::move(message), std::move(mailbox), std::move(limiter));
-}
-
 // ---------------------------------------------------------- transport seam --
 
 void MessageBus::AttachTransport(std::shared_ptr<Transport> transport) {
   CHECK(transport != nullptr);
   CHECK(transport_ == nullptr) << "transport already attached";
-  CHECK(injector_ == nullptr)
-      << "in-process fault injection and a wire transport are mutually "
-         "exclusive (use the transport's lossy shim for cross-process chaos)";
-  wire_sequencer_ = std::make_unique<StreamSequencer>();
-  wire_counters_ = std::make_unique<FaultCounters>();
-  wire_reorder_ = std::make_unique<ReorderBuffer>(wire_counters_.get());
   transport_ = std::move(transport);
 }
 
@@ -181,65 +157,22 @@ Status MessageBus::DeliverWire(const uint8_t* data, int64_t size) {
   // this process's steady clock. Two processes' steady clocks have unrelated
   // epochs, so the sender's stamp must never be compared here.
   message.send_ns = link_stats_enabled() ? SteadyNowNs() : 0;
-  std::vector<Message> released;
-  if (message.seq >= 0) {
-    wire_reorder_->Admit(std::move(message), &released);
-  } else {
-    released.push_back(std::move(message));
-  }
-  for (Message& ready : released) {
-    std::shared_ptr<Mailbox> target;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = mailboxes_.find(ready.to);
-      if (it != mailboxes_.end()) {
-        target = it->second;
-      }
-    }
-    const MessageType type = ready.type;
-    if (target == nullptr) {
-      // The endpoint died (or was never registered here): the message is
-      // lost exactly as on a dead socket; count it so tests can see.
-      if (type != MessageType::kShutdown) {
-        wire_counters_->AddDroppedReply();
-      }
-      continue;
-    }
-    RecordLinkDelivery(ready);
-    if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
-      wire_counters_->AddDroppedReply();
-    }
-  }
+  Deliver(std::move(message));
   return Status::Ok();
-}
-
-FaultCountersSnapshot MessageBus::WireCounters() const {
-  if (wire_counters_ == nullptr) {
-    return FaultCountersSnapshot{};
-  }
-  return wire_counters_->Snapshot();
 }
 
 // ------------------------------------------------------------ fault fabric --
 
 void MessageBus::EnableFaultInjection(const FaultPlan& plan) {
   CHECK(injector_ == nullptr) << "fault injection already enabled";
-  CHECK(transport_ == nullptr)
-      << "in-process fault injection and a wire transport are mutually "
-         "exclusive (use the transport's lossy shim for cross-process chaos)";
   injector_ = std::make_unique<FaultInjector>(plan);
-  sequencer_ = std::make_unique<StreamSequencer>();
-  reorder_ = std::make_unique<ReorderBuffer>(&injector_->counters());
   pump_thread_ = std::thread([this] { PumpLoop(); });
 }
 
-void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message message,
-                                int attempt) {
-  FaultCounters& counters = injector_->counters();
+void MessageBus::InjectOrCommit(Message message, int attempt) {
   if (injector_->IsPartitioned(message.from.node, message.to.node)) {
-    counters.AddPartitionHold();
+    faults_.AddPartitionHold();
     TimedDelivery held;
-    held.mailbox = std::move(mailbox);
     held.message = std::move(message);
     held.attempt = attempt;
     {
@@ -254,10 +187,9 @@ void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message messag
   if (decision.drop) {
     // Lost on the wire; the modeled reliable link layer retransmits the
     // same sequence number after the RTO, rolling fresh dice.
-    counters.AddDrop();
+    faults_.AddDrop();
     TimedDelivery retx;
     retx.due = now + std::chrono::microseconds(injector_->plan().retransmit_timeout_us);
-    retx.mailbox = std::move(mailbox);
     retx.message = std::move(message);
     retx.attempt = attempt + 1;
     retx.commit_only = false;
@@ -265,39 +197,50 @@ void MessageBus::InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message messag
     return;
   }
   if (decision.duplicate) {
-    counters.AddDuplicate();
+    faults_.AddDuplicate();
     TimedDelivery copy;
     copy.due = now + std::chrono::microseconds(injector_->plan().duplicate_lag_us);
-    copy.mailbox = mailbox;
     copy.message = message;  // same seq: the receiver will deduplicate
     copy.attempt = attempt;
     copy.commit_only = true;
     SchedulePumped(std::move(copy));
   }
   if (decision.delay_us > 0) {
-    counters.AddDelay();
+    faults_.AddDelay();
     TimedDelivery delayed;
     delayed.due = now + std::chrono::microseconds(decision.delay_us);
-    delayed.mailbox = std::move(mailbox);
     delayed.message = std::move(message);
     delayed.attempt = attempt;
     delayed.commit_only = true;
     SchedulePumped(std::move(delayed));
     return;
   }
-  Commit(mailbox, std::move(message));
+  Commit(std::move(message));
 }
 
-void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message) {
-  const MessageType type = message.type;
+void MessageBus::Commit(Message message) {
+  if (IsWireRemote(message.to.node)) {
+    // The receiving bus deduplicates and reorders (DeliverWire). A send
+    // into a dead connection loses the message as a dead endpoint would.
+    const int src = message.from.node;
+    const int dst = message.to.node;
+    if (!transport_->SendFrame(src, dst, EncodeMessageFrame(message)).ok()) {
+      faults_.AddDroppedReply();
+    }
+    return;
+  }
+  Deliver(std::move(message));
+}
+
+void MessageBus::Deliver(Message message) {
   std::vector<Message> released;
-  reorder_->Admit(std::move(message), &released);
+  reorder_.Admit(std::move(message), &released);
   if (released.empty()) {
     return;
   }
   // Deliver to the destination's *current* mailbox, looked up at release
   // time: between send (or parking in the reorder buffer) and now the
-  // endpoint may have died and been re-registered (crash recovery), and the
+  // endpoint may have died and been re-registered (crash recovery), and a
   // mailbox captured at send time could belong to the dead incarnation.
   // Every message of a released run shares one stream, hence one address.
   std::shared_ptr<Mailbox> target;
@@ -308,16 +251,17 @@ void MessageBus::Commit(const std::shared_ptr<Mailbox>& mailbox, Message message
       target = it->second;
     }
   }
-  if (target == nullptr) {
-    target = mailbox;  // unregistered: the endpoint is gone; fall through
-  }
   for (Message& ready : released) {
-    RecordLinkDelivery(ready);
-    if (!target->Push(std::move(ready)) && type != MessageType::kShutdown) {
-      // The endpoint died between send and delivery (crash window): the
-      // message is lost, as it would be on a real dead socket. Recovery
-      // re-pushes; the shard reconciles.
-      injector_->counters().AddDroppedReply();
+    const MessageType type = ready.type;
+    if (target != nullptr) {
+      RecordLinkDelivery(ready);
+    }
+    if ((target == nullptr || !target->Push(std::move(ready))) &&
+        type != MessageType::kShutdown) {
+      // The endpoint died between send and delivery (crash window), or was
+      // never registered here: the message is lost, as it would be on a
+      // real dead socket. Recovery re-pushes; the shard reconciles.
+      faults_.AddDroppedReply();
     }
   }
 }
@@ -385,12 +329,12 @@ void MessageBus::PumpLoop() {
     lock.unlock();
     for (TimedDelivery& item : replay) {
       if (item.commit_only) {
-        Commit(item.mailbox, std::move(item.message));
+        Commit(std::move(item.message));
       } else {
         if (item.attempt > 0) {
-          injector_->counters().AddRetransmit();
+          faults_.AddRetransmit();
         }
-        InjectOrCommit(std::move(item.mailbox), std::move(item.message), item.attempt);
+        InjectOrCommit(std::move(item.message), item.attempt);
       }
     }
     lock.lock();
@@ -442,7 +386,7 @@ bool MessageBus::AwaitPartitionHolds(int64_t n, int timeout_ms) {
   // InjectOrCommit bumps the counter before notifying the pump, so the
   // predicate observes every hold.
   return pump_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    return injector_->Counters().partition_holds >= n;
+    return faults_.Snapshot().partition_holds >= n;
   });
 }
 
@@ -460,6 +404,7 @@ void MessageBus::CloseEndpoints(int node, int min_port, int max_port) {
 }
 
 void MessageBus::FlushEgress() {
+  FlushFaults();  // pumped traffic reaches the transport before its flush
   if (transport_ != nullptr) {
     transport_->Flush();
   }
@@ -522,45 +467,52 @@ void MessageBus::RecordLinkDelivery(const Message& message) {
   cell.latency_ns.Record(latency > 0 ? latency : 0);
 }
 
-ObservedLinkStats MessageBus::SnapshotLinkStats() const {
+ObservedLinkStats MessageBus::CollectLinkStats(
+    double window_s, std::vector<int64_t>* bytes_seen,
+    std::vector<int64_t>* messages_seen) const {
   ObservedLinkStats snap;
+  snap.window_s = window_s;
+  const size_t n = static_cast<size_t>(num_nodes());
+  for (size_t idx = 0; idx < link_cells_.size(); ++idx) {
+    const LinkCell& cell = *link_cells_[idx];
+    int64_t bytes = cell.bytes.load(std::memory_order_relaxed);
+    int64_t messages = cell.messages.load(std::memory_order_relaxed);
+    if (bytes_seen != nullptr) {
+      bytes -= (*bytes_seen)[idx];
+      messages -= (*messages_seen)[idx];
+      (*bytes_seen)[idx] += bytes;
+      (*messages_seen)[idx] += messages;
+    }
+    if (bytes == 0 && messages == 0) {
+      continue;
+    }
+    LinkStat link;
+    link.src = static_cast<int>(idx / n);
+    link.dst = static_cast<int>(idx % n);
+    link.bytes = bytes;
+    link.messages = messages;
+    link.delivery_latency_ns = cell.latency_ns.TakeSnapshot();
+    link.observed_gbps =
+        window_s > 0.0 ? static_cast<double>(bytes) * 8.0 / 1e9 / window_s : 0.0;
+    snap.links.push_back(std::move(link));
+  }
+  return snap;
+}
+
+ObservedLinkStats MessageBus::SnapshotLinkStats() const {
   if (!link_stats_enabled()) {
-    return snap;
+    return ObservedLinkStats{};
   }
   const double window_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           std::chrono::steady_clock::now() - link_stats_since_)
           .count();
-  snap.window_s = window_s;
-  const int n = num_nodes();
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
-      const LinkCell& cell =
-          *link_cells_[static_cast<size_t>(src) * static_cast<size_t>(n) +
-                       static_cast<size_t>(dst)];
-      const int64_t bytes = cell.bytes.load(std::memory_order_relaxed);
-      const int64_t messages = cell.messages.load(std::memory_order_relaxed);
-      if (bytes == 0 && messages == 0) {
-        continue;
-      }
-      LinkStat link;
-      link.src = src;
-      link.dst = dst;
-      link.bytes = bytes;
-      link.messages = messages;
-      link.delivery_latency_ns = cell.latency_ns.TakeSnapshot();
-      link.observed_gbps =
-          window_s > 0.0 ? static_cast<double>(bytes) * 8.0 / 1e9 / window_s : 0.0;
-      snap.links.push_back(std::move(link));
-    }
-  }
-  return snap;
+  return CollectLinkStats(window_s, nullptr, nullptr);
 }
 
 ObservedLinkStats MessageBus::SnapshotLinkStatsDelta() {
-  ObservedLinkStats snap;
   if (!link_stats_enabled()) {
-    return snap;
+    return ObservedLinkStats{};
   }
   std::lock_guard<std::mutex> lock(link_delta_mutex_);
   const auto now = std::chrono::steady_clock::now();
@@ -569,34 +521,8 @@ ObservedLinkStats MessageBus::SnapshotLinkStatsDelta() {
                                                                 link_delta_since_)
           .count();
   link_delta_since_ = now;
-  snap.window_s = window_s;
-  const int n = num_nodes();
-  for (int src = 0; src < n; ++src) {
-    for (int dst = 0; dst < n; ++dst) {
-      const size_t idx =
-          static_cast<size_t>(src) * static_cast<size_t>(n) + static_cast<size_t>(dst);
-      const LinkCell& cell = *link_cells_[idx];
-      const int64_t bytes =
-          cell.bytes.load(std::memory_order_relaxed) - link_delta_bytes_seen_[idx];
-      const int64_t messages = cell.messages.load(std::memory_order_relaxed) -
-                               link_delta_messages_seen_[idx];
-      link_delta_bytes_seen_[idx] += bytes;
-      link_delta_messages_seen_[idx] += messages;
-      if (bytes == 0 && messages == 0) {
-        continue;
-      }
-      LinkStat link;
-      link.src = src;
-      link.dst = dst;
-      link.bytes = bytes;
-      link.messages = messages;
-      link.delivery_latency_ns = cell.latency_ns.TakeSnapshot();
-      link.observed_gbps =
-          window_s > 0.0 ? static_cast<double>(bytes) * 8.0 / 1e9 / window_s : 0.0;
-      snap.links.push_back(std::move(link));
-    }
-  }
-  return snap;
+  return CollectLinkStats(window_s, &link_delta_bytes_seen_,
+                          &link_delta_messages_seen_);
 }
 
 std::vector<int64_t> MessageBus::TxBytes() const {
@@ -636,7 +562,6 @@ void MessageBus::ResetTraffic() {
 
 void MessageBus::CloseAll() {
   FlushEgress();
-  FlushFaults();
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [address, mailbox] : mailboxes_) {
     mailbox->Close();

@@ -13,13 +13,15 @@
 /// wire, so a dependent push -> apply -> reply step pays no timer latency.
 ///
 /// Fault injection (EnableFaultInjection): a seeded FaultInjector sits on
-/// the remote delivery path and drops (with link-layer retransmit),
-/// duplicates, delays, or partitions traffic; every remote data message is
-/// stamped with a per-stream sequence number and passes through a
-/// receiver-side ReorderBuffer that deduplicates and restores per-stream
-/// FIFO order before the consumer sees it. Traffic counters keep reporting
-/// the fault-free logical traffic; the injected weather is accounted
-/// separately in FaultCounters (see docs/FAULT_TOLERANCE.md).
+/// the remote delivery path — in-process and over an attached transport
+/// alike — and drops (with link-layer retransmit), duplicates, delays, or
+/// partitions traffic. Every remote data message that the injector or a wire
+/// can reorder is stamped with a per-stream sequence number and passes
+/// through the receiving bus's ReorderBuffer, which deduplicates and
+/// restores per-stream FIFO order before the consumer sees it. Traffic
+/// counters keep reporting the fault-free logical traffic; the injected
+/// weather and its repair are accounted separately in Faults() (see
+/// docs/FAULT_TOLERANCE.md).
 #ifndef POSEIDON_SRC_TRANSPORT_BUS_H_
 #define POSEIDON_SRC_TRANSPORT_BUS_H_
 
@@ -97,39 +99,39 @@ class MessageBus {
   Status Send(Message message);
 
   /// Attaches the frame carrier for destinations outside this process (call
-  /// at most once, before traffic flows; mutually exclusive with
-  /// EnableFaultInjection — cross-process chaos lives in the socket
-  /// transport's lossy shim instead). Once attached, Send() serializes
+  /// at most once, before traffic flows). Once attached, Send() serializes
   /// messages for non-local nodes into docs/WIRE_FORMAT.md frames and hands
-  /// them to the transport; every remote data message is stamped from a
+  /// them to the transport; every remote data message is stamped from the
   /// per-stream sequencer so the receiving bus can deduplicate and restore
-  /// FIFO order whatever the wire does (see DeliverWire).
+  /// FIFO order whatever the wire (or the injector) does (see DeliverWire).
   void AttachTransport(std::shared_ptr<Transport> transport);
   /// The attached backend; null means the historical in-process-only bus.
   Transport* transport() const { return transport_.get(); }
 
   /// Ingress from the transport: decodes one wire frame and delivers its
-  /// message to the local mailbox. Sequenced messages pass through the wire reorder buffer (dedup + in-order
-  /// release); `send_ns` is restamped here, on the receiver's clock, so
-  /// delivery-latency stats never compare steady clocks of two processes.
-  /// Returns InvalidArgument/OutOfRange on malformed bytes. Thread-safe.
+  /// message to the local mailbox. Sequenced messages pass through the
+  /// reorder buffer (dedup + in-order release); `send_ns` is restamped here,
+  /// on the receiver's clock, so delivery-latency stats never compare steady
+  /// clocks of two processes. Returns InvalidArgument/OutOfRange on
+  /// malformed bytes. Thread-safe.
   Status DeliverWire(const uint8_t* data, int64_t size);
 
-  /// Dedup/reorder counters of the wire ingress path (all zero until a
-  /// transport is attached and weather happens).
-  FaultCountersSnapshot WireCounters() const;
+  /// This bus's fault counters: the weather its injector committed on
+  /// egress (drops, retransmits, duplicates, delays, partition holds) and
+  /// what its reorder buffer repaired on ingress (dedup, reorder, dropped
+  /// replies). All zero on a clean run.
+  FaultCountersSnapshot Faults() const { return faults_.Snapshot(); }
 
-  /// Blocks until the attached transport has written every queued frame
-  /// (no-op without a transport: in-process delivery is synchronous).
+  /// Blocks until the fault pump is idle (FlushFaults) and then until the
+  /// attached transport has written every queued frame. Without a transport
+  /// this is FlushFaults: in-process delivery is synchronous.
   void FlushEgress();
 
   /// Turns on the seeded fault-injection fabric (call at most once, before
   /// traffic flows). Spawns the delivery-pump thread that serves delayed,
-  /// duplicated, retransmitted, and partition-held messages.
+  /// duplicated, retransmitted, and partition-held messages, whether their
+  /// destination is in this process or behind the transport.
   void EnableFaultInjection(const FaultPlan& plan);
-  bool faults_enabled() const { return injector_ != nullptr; }
-  /// The injector (partition control, counters); null when disabled.
-  FaultInjector* fault_injector() { return injector_.get(); }
 
   /// Blocks until no delayed/retransmit deliveries are pending. Messages
   /// parked behind an active partition are excluded (they flow on heal).
@@ -206,7 +208,6 @@ class MessageBus {
   struct TimedDelivery {
     std::chrono::steady_clock::time_point due;
     uint64_t order = 0;  // FIFO tie-break for equal due times
-    std::shared_ptr<Mailbox> mailbox;
     Message message;
     int attempt = 0;
     /// True: just commit at `due` (the fault dice were already rolled);
@@ -232,6 +233,12 @@ class MessageBus {
   void RecordLinkTx(int src, int dst, int64_t bytes);
   /// Records bus-accept-to-push latency for a stamped remote message.
   void RecordLinkDelivery(const Message& message);
+  /// One LinkStat per link cell with traffic. With `bytes_seen` and
+  /// `messages_seen` (the delta cursor), counts only what moved since the
+  /// cursor and advances it; without them, counts everything.
+  ObservedLinkStats CollectLinkStats(double window_s,
+                                     std::vector<int64_t>* bytes_seen,
+                                     std::vector<int64_t>* messages_seen) const;
 
   /// Copies the routing state for `message` under the bus lock.
   Status Route(const Message& message, std::shared_ptr<Mailbox>* mailbox,
@@ -244,18 +251,19 @@ class MessageBus {
   /// message of `bytes` wire bytes.
   void AccountRemote(int src, int dst, int64_t bytes,
                      const std::shared_ptr<RateLimiter>& limiter);
-  /// Serializes one message and ships it via the transport.
-  Status SendViaTransport(Message message, std::shared_ptr<RateLimiter> limiter);
-  /// In-process delivery (local traffic, or a remote node of this process).
-  Status SendDirect(Message message, std::shared_ptr<Mailbox> mailbox,
-                    std::shared_ptr<RateLimiter> limiter);
 
   /// Remote delivery behind the injector: parks partitioned traffic, rolls
   /// the fault dice for this transmission attempt, and either schedules the
   /// message on the pump or commits it now.
-  void InjectOrCommit(std::shared_ptr<Mailbox> mailbox, Message message, int attempt);
-  /// Final delivery: runs the reorder buffer and pushes the released run.
-  void Commit(const std::shared_ptr<Mailbox>& mailbox, Message message);
+  void InjectOrCommit(Message message, int attempt);
+  /// Final transmission: a wire-remote message is encoded and handed to the
+  /// transport (the receiving bus repairs order); anything else is
+  /// delivered here.
+  void Commit(Message message);
+  /// Runs the reorder buffer and pushes the released run to the
+  /// destination's current mailbox; a missing or closed endpoint counts a
+  /// dropped reply.
+  void Deliver(Message message);
   void SchedulePumped(TimedDelivery delivery);
   void PumpLoop();
 
@@ -279,19 +287,18 @@ class MessageBus {
   std::chrono::steady_clock::time_point link_delta_since_;
 
   // Frame carrier for cross-process destinations (set once by
-  // AttachTransport, then immutable). The wire sequencer stamps every
-  // outbound remote data message; the wire reorder buffer restores
-  // exactly-once FIFO per stream on ingress (real sockets — and the lossy
-  // shim especially — can duplicate and reorder records).
+  // AttachTransport, then immutable).
   std::shared_ptr<Transport> transport_;
-  std::unique_ptr<StreamSequencer> wire_sequencer_;
-  std::unique_ptr<FaultCounters> wire_counters_;
-  std::unique_ptr<ReorderBuffer> wire_reorder_;
 
-  // Fault fabric (set once by EnableFaultInjection, then immutable pointers).
+  // Stream repair, shared by both backends: the sequencer stamps every
+  // remote data message the injector or a wire can reorder, and the reorder
+  // buffer restores exactly-once FIFO per stream before any mailbox push.
+  StreamSequencer sequencer_;
+  FaultCounters faults_;
+  ReorderBuffer reorder_{&faults_};
+
+  // Fault fabric (set once by EnableFaultInjection, then immutable).
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<StreamSequencer> sequencer_;
-  std::unique_ptr<ReorderBuffer> reorder_;
   std::mutex pump_mutex_;
   std::condition_variable pump_cv_;   // wakes the pump
   std::condition_variable pump_idle_cv_;  // signals FlushFaults waiters

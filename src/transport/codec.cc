@@ -1,10 +1,9 @@
 #include "src/transport/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "src/common/logging.h"
@@ -837,56 +836,41 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
 
 namespace {
 
-std::mutex& RegistryMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
+constexpr size_t kNumCodecs = 6;
 
-std::map<uint8_t, std::unique_ptr<Codec>>& RegistryMap() {
-  static std::map<uint8_t, std::unique_ptr<Codec>>* map = [] {
-    auto* m = new std::map<uint8_t, std::unique_ptr<Codec>>();
-    (*m)[static_cast<uint8_t>(WireCodec::kRawFloat)] = std::make_unique<RawFloatCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kOneBit)] = std::make_unique<OneBitCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kSufficientFactor)] =
-        std::make_unique<SufficientFactorCodec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kFp16)] = std::make_unique<Fp16Codec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kInt8)] = std::make_unique<Int8Codec>();
-    (*m)[static_cast<uint8_t>(WireCodec::kTopK)] = std::make_unique<TopKCodec>();
-    return m;
+// The built-in codecs, indexed by WireCodec id. Immutable after its
+// thread-safe static initialization, so lookups take no lock. The codecs
+// are leaked on purpose: they stay valid for threads still running at exit.
+const std::array<const Codec*, kNumCodecs>& CodecTable() {
+  static const std::array<const Codec*, kNumCodecs> table = [] {
+    const std::array<const Codec*, kNumCodecs> codecs = {
+        new RawFloatCodec(), new OneBitCodec(), new SufficientFactorCodec(),
+        new Fp16Codec(),     new Int8Codec(),   new TopKCodec()};
+    for (size_t i = 0; i < codecs.size(); ++i) {
+      CHECK_EQ(static_cast<size_t>(codecs[i]->id()), i) << "codec table out of id order";
+    }
+    return codecs;
   }();
-  return *map;
+  return table;
 }
 
 }  // namespace
 
 const Codec& CodecRegistry::Get(WireCodec id) {
   const Codec* codec = Find(id);
-  CHECK_NOTNULL(codec) << "unregistered codec id " << static_cast<int>(id);
+  CHECK_NOTNULL(codec) << "unknown codec id " << static_cast<int>(id);
   return *codec;
 }
 
 const Codec* CodecRegistry::Find(WireCodec id) {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& map = RegistryMap();
-  auto it = map.find(static_cast<uint8_t>(id));
-  return it == map.end() ? nullptr : it->second.get();
-}
-
-void CodecRegistry::Register(std::unique_ptr<Codec> codec) {
-  CHECK_NOTNULL(codec.get());
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& map = RegistryMap();
-  const uint8_t id = static_cast<uint8_t>(codec->id());
-  CHECK(map.find(id) == map.end()) << "codec id " << static_cast<int>(id)
-                                   << " already registered";
-  map[id] = std::move(codec);
+  const size_t index = static_cast<size_t>(id);
+  return index < kNumCodecs ? CodecTable()[index] : nullptr;
 }
 
 std::vector<WireCodec> CodecRegistry::Ids() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
   std::vector<WireCodec> ids;
-  for (const auto& [id, codec] : RegistryMap()) {
-    ids.push_back(static_cast<WireCodec>(id));
+  for (const Codec* codec : CodecTable()) {
+    ids.push_back(codec->id());
   }
   return ids;
 }

@@ -36,7 +36,6 @@
 #define POSEIDON_SRC_TRANSPORT_CODEC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -301,20 +300,17 @@ class TopKCodec : public Codec {
   static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
-/// Process-wide codec registry. The six built-in codecs (the three paper
-/// representations plus the fp16/int8/top-k compressions) are always
-/// present; extensions register once at startup and are then addressable by
-/// id from any Message.
+/// Process-wide codec table: the six built-in codecs (the three paper
+/// representations plus the fp16/int8/top-k compressions), fixed at
+/// compile time and addressable by id from any Message. Lock-free.
 class CodecRegistry {
  public:
   /// The codec for `id`; CHECK-fails on an unknown id (use Find on wire
   /// input paths).
   static const Codec& Get(WireCodec id);
-  /// The codec for `id`, or nullptr when unregistered.
+  /// The codec for `id`, or nullptr for an id no codec carries.
   static const Codec* Find(WireCodec id);
-  /// Registers an extension codec; CHECK-fails on a duplicate id.
-  static void Register(std::unique_ptr<Codec> codec);
-  /// Ids currently registered, ascending.
+  /// Every codec id, ascending.
   static std::vector<WireCodec> Ids();
 };
 

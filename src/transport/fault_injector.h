@@ -2,11 +2,13 @@
 /// Deterministic, seeded fault decisions for the live transport.
 ///
 /// The MessageBus stands in for a real Ethernet + socket layer; this class
-/// stands in for everything that can go wrong underneath it. For every wire
-/// transmission it decides — deterministically, from (seed, stream, seq,
-/// attempt) alone — whether the message is dropped, duplicated, or delayed,
-/// so a chaos run is bit-reproducible from its seed no matter how the sender
-/// threads interleave.
+/// stands in for everything that can go wrong underneath it. For every
+/// remote transmission — to a node in this process or, through an attached
+/// transport, to a real socket peer — it decides deterministically, from
+/// (seed, from address, to address, seq, attempt) alone, whether the message
+/// is dropped, duplicated, or delayed, so a chaos run is bit-reproducible
+/// from its seed no matter how the sender threads interleave. The bus commits
+/// the decisions and counts them (MessageBus::Faults()).
 ///
 /// Failure model (docs/FAULT_TOLERANCE.md):
 ///   * drop       — the transmission is lost. The bus models a reliable link
@@ -35,7 +37,6 @@
 #include <set>
 #include <utility>
 
-#include "src/stats/fault_counters.h"
 #include "src/transport/message.h"
 
 namespace poseidon {
@@ -69,8 +70,7 @@ struct FaultDecision {
   int delay_us = 0;        ///< hold delivery back this long (0 = deliver now)
 };
 
-/// Pure decision function plus partition state; owns the fault counters.
-/// Thread-safe.
+/// Pure decision function plus partition state. Thread-safe.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -78,8 +78,7 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
   /// Decides the fate of transmission attempt `attempt` (0 = first) of the
-  /// message. Deterministic in (plan.seed, from, to, seq, attempt). Does not
-  /// touch the counters — the bus counts when it commits the fault.
+  /// message. Deterministic in (plan.seed, from, to, seq, attempt).
   FaultDecision Decide(const Message& message, int attempt) const;
 
   /// Cuts both directions between nodes `a` and `b`. Idempotent.
@@ -89,12 +88,8 @@ class FaultInjector {
   /// True while `src` -> `dst` traffic must be parked.
   bool IsPartitioned(int src, int dst) const;
 
-  FaultCounters& counters() { return counters_; }
-  FaultCountersSnapshot Counters() const { return counters_.Snapshot(); }
-
  private:
   const FaultPlan plan_;
-  FaultCounters counters_;
 
   mutable std::mutex mutex_;
   std::set<std::pair<int, int>> partitions_;  // normalized (min, max) pairs

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <climits>
 #include <cstddef>
 #include <cstring>
@@ -23,6 +24,9 @@
 
 namespace poseidon {
 namespace {
+
+/// Egress records per writev batch.
+constexpr size_t kMaxWritevRecords = 16;
 
 Status ErrnoStatus(const std::string& what) {
   return UnavailableError(what + ": " + std::strerror(errno));
@@ -104,9 +108,6 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   peers_.resize(options_.processes.size());
   for (size_t p = 0; p < peers_.size(); ++p) {
     peers_[p] = std::make_unique<Peer>();
-  }
-  if (options_.shim.any()) {
-    shim_ = std::make_unique<FaultInjector>(options_.shim);
   }
 }
 
@@ -242,77 +243,21 @@ Status SocketTransport::SendFrame(int src_node, int dst_node,
   const int dst_process = options_.node_owner[static_cast<size_t>(dst_node)];
   CHECK_NE(dst_process, options_.self)
       << "SendFrame for a local destination node " << dst_node;
+  return Enqueue(dst_process, BuildRecord(SocketRecordKind::kData, frame));
+}
+
+Status SocketTransport::Enqueue(int dst_process, std::vector<uint8_t> record) {
   Peer& peer = *peers_[static_cast<size_t>(dst_process)];
-  std::vector<uint8_t> record = BuildRecord(SocketRecordKind::kData, frame);
   {
     std::lock_guard<std::mutex> lock(peer.mutex);
     if (peer.stop || peer.dead) {
       return UnavailableError("connection to process " +
                               std::to_string(dst_process) + " is down");
     }
-    const int64_t record_seq = peer.next_record_seq++;
-    EnqueueData(peer, dst_process, std::move(record), record_seq, /*attempt=*/0);
+    peer.queue.push_back(std::move(record));
   }
   peer.cv.notify_all();
   return Status::Ok();
-}
-
-void SocketTransport::EnqueueData(Peer& peer, int dst_process,
-                                  std::vector<uint8_t> record,
-                                  int64_t record_seq, int attempt) {
-  // Caller holds peer.mutex.
-  if (shim_ != nullptr) {
-    // Roll the same seeded dice as the in-process fabric, keyed by the
-    // record's identity on this process-pair "link".
-    Message key;
-    key.from = Address{options_.self, 0};
-    key.to = Address{dst_process, 0};
-    key.seq = record_seq;
-    const FaultDecision decision = shim_->Decide(key, attempt);
-    const auto now = std::chrono::steady_clock::now();
-    FaultCounters& counters = shim_->counters();
-    if (decision.drop) {
-      // Lost on the wire: schedule the link-layer retransmission. The bytes
-      // genuinely never reach the socket this attempt.
-      counters.AddDrop();
-      ShimItem retx;
-      retx.due = now + std::chrono::microseconds(
-                           shim_->plan().retransmit_timeout_us);
-      retx.order = peer.shim_order++;
-      retx.record = std::move(record);
-      retx.record_seq = record_seq;
-      retx.attempt = attempt + 1;
-      retx.commit_only = false;
-      peer.shim_queue.push(std::move(retx));
-      return;
-    }
-    if (decision.duplicate) {
-      counters.AddDuplicate();
-      ShimItem copy;
-      copy.due = now + std::chrono::microseconds(shim_->plan().duplicate_lag_us);
-      copy.order = peer.shim_order++;
-      copy.record = record;  // second identical copy of the same bytes
-      copy.record_seq = record_seq;
-      copy.attempt = attempt;
-      copy.commit_only = true;
-      peer.shim_queue.push(std::move(copy));
-    }
-    if (decision.delay_us > 0) {
-      // Held back while later records go straight to the queue: genuine
-      // on-the-wire reordering, not a simulation of one.
-      counters.AddDelay();
-      ShimItem delayed;
-      delayed.due = now + std::chrono::microseconds(decision.delay_us);
-      delayed.order = peer.shim_order++;
-      delayed.record = std::move(record);
-      delayed.record_seq = record_seq;
-      delayed.attempt = attempt;
-      delayed.commit_only = true;
-      peer.shim_queue.push(std::move(delayed));
-      return;
-    }
-  }
-  peer.queue.push_back(std::move(record));
 }
 
 Status SocketTransport::SendControl(int dst_process, uint16_t opcode,
@@ -332,62 +277,25 @@ Status SocketTransport::SendControl(int dst_process, uint16_t opcode,
     }
     return Status::Ok();
   }
-  Peer& peer = *peers_[static_cast<size_t>(dst_process)];
-  std::vector<uint8_t> record = BuildRecord(SocketRecordKind::kControl, payload);
-  {
-    std::lock_guard<std::mutex> lock(peer.mutex);
-    if (peer.stop || peer.dead) {
-      return UnavailableError("connection to process " +
-                              std::to_string(dst_process) + " is down");
-    }
-    peer.queue.push_back(std::move(record));  // control bypasses the shim
-  }
-  peer.cv.notify_all();
-  return Status::Ok();
+  return Enqueue(dst_process, BuildRecord(SocketRecordKind::kControl, payload));
 }
 
 void SocketTransport::WriterLoop(int peer_index) {
   Peer& peer = *peers_[static_cast<size_t>(peer_index)];
   std::unique_lock<std::mutex> lock(peer.mutex);
   while (true) {
-    // Promote shim records that have come due (retransmits roll fresh dice;
-    // delayed/duplicate copies go out as-is).
-    const auto now = std::chrono::steady_clock::now();
-    while (!peer.shim_queue.empty() && peer.shim_queue.top().due <= now) {
-      ShimItem item = peer.shim_queue.top();
-      peer.shim_queue.pop();
-      if (item.commit_only) {
-        peer.queue.push_back(std::move(item.record));
-      } else {
-        shim_->counters().AddRetransmit();
-        EnqueueData(peer, peer_index, std::move(item.record), item.record_seq,
-                    item.attempt);
-      }
-    }
     if (peer.queue.empty()) {
-      if (peer.writing == 0 && peer.shim_queue.empty()) {
-        peer.idle_cv.notify_all();
-      }
+      peer.idle_cv.notify_all();
       if (peer.stop) {
         break;
       }
-      if (peer.shim_queue.empty()) {
-        peer.cv.wait(lock, [&] { return peer.stop || !peer.queue.empty() ||
-                                        !peer.shim_queue.empty(); });
-      } else {
-        // Copy the deadline out: wait_until releases the mutex, and a
-        // concurrent push into shim_queue may reallocate the storage the
-        // top() reference points into.
-        const auto due = peer.shim_queue.top().due;
-        peer.cv.wait_until(lock, due);
-      }
+      peer.cv.wait(lock, [&] { return peer.stop || !peer.queue.empty(); });
       continue;
     }
-    // Cut up to max_writev_records into one writev: many records, one
+    // Cut up to kMaxWritevRecords into one writev: many records, one
     // syscall.
     std::vector<std::vector<uint8_t>> out;
-    while (!peer.queue.empty() &&
-           static_cast<int>(out.size()) < options_.max_writev_records) {
+    while (!peer.queue.empty() && out.size() < kMaxWritevRecords) {
       out.push_back(std::move(peer.queue.front()));
       peer.queue.pop_front();
     }
@@ -514,7 +422,7 @@ bool SocketTransport::DrainIngress(Ingress& in) {
                    << static_cast<int>(h[4]) << "; dropping connection";
       return false;
     }
-    if (static_cast<int64_t>(len) > options_.max_record_bytes) {
+    if (static_cast<int64_t>(len) > kMaxSocketRecordBytes) {
       LOG(Warning) << "transport: oversized record (" << len
                    << " bytes); dropping connection";
       return false;
@@ -578,7 +486,7 @@ void SocketTransport::Flush() {
     peer.cv.notify_all();
     peer.idle_cv.wait(lock, [&] {
       return peer.stop || peer.dead ||
-             (peer.queue.empty() && peer.shim_queue.empty() && peer.writing == 0);
+             (peer.queue.empty() && peer.writing == 0);
     });
   }
 }
@@ -644,13 +552,6 @@ int64_t SocketTransport::bytes_sent() const {
 }
 int64_t SocketTransport::bytes_received() const {
   return bytes_received_.load(std::memory_order_relaxed);
-}
-
-FaultCountersSnapshot SocketTransport::ShimCounters() const {
-  if (shim_ == nullptr) {
-    return FaultCountersSnapshot{};
-  }
-  return shim_->Counters();
 }
 
 }  // namespace poseidon

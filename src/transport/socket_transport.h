@@ -24,32 +24,26 @@
 /// [u16 opcode] + payload and carry the rendezvous protocol
 /// (src/transport/cluster_launcher.h).
 ///
-/// Lossy shim: when `options.shim.any()`, egress data records roll the same
-/// seeded fault dice as the in-process fabric (drop + retransmit-after-RTO,
-/// duplicate-after-lag, delay-with-overtaking) *at the record layer*, so
-/// the PR-4 sequencer properties are exercised against genuinely reordered,
-/// duplicated and retransmitted socket traffic. Control records are exempt,
-/// mirroring the kShutdown exemption. Decisions are deterministic in
-/// (seed, src process, dst process, record seq, attempt).
+/// Network weather is not this layer's business: a bus with fault injection
+/// enabled rolls its seeded dice per message before the frame reaches
+/// SendFrame, and the receiving bus repairs order and duplicates. The
+/// transport adds no weather of its own: records it writes arrive in order,
+/// once.
 #ifndef POSEIDON_SRC_TRANSPORT_SOCKET_TRANSPORT_H_
 #define POSEIDON_SRC_TRANSPORT_SOCKET_TRANSPORT_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/stats/fault_counters.h"
-#include "src/transport/fault_injector.h"
 #include "src/transport/transport.h"
 
 namespace poseidon {
@@ -76,6 +70,9 @@ enum class SocketRecordKind : uint8_t {
 /// u16 src process).
 inline constexpr int64_t kSocketRecordHeaderBytes = 8;
 inline constexpr uint8_t kSocketRecordVersion = 1;
+/// Upper bound on one record body; larger ingress records are a protocol
+/// error (guards the reassembly buffer against corrupt length prefixes).
+inline constexpr int64_t kMaxSocketRecordBytes = 256ll << 20;
 
 struct SocketTransportOptions {
   /// This process's index into `processes`.
@@ -88,13 +85,6 @@ struct SocketTransportOptions {
   /// How long ConnectAll keeps retrying a refused peer before giving up
   /// (peers start in arbitrary order; refusal just means "not up yet").
   int connect_timeout_ms = 20000;
-  /// Egress records per writev batch.
-  int max_writev_records = 16;
-  /// Upper bound on one record body; larger ingress records are a protocol
-  /// error (guards the reassembly buffer against corrupt length prefixes).
-  int64_t max_record_bytes = 256ll << 20;
-  /// Lossy egress shim (record-level chaos); inert when !shim.any().
-  FaultPlan shim;
 };
 
 /// Receives control-plane records: (source process, opcode, body after the
@@ -133,8 +123,8 @@ class SocketTransport : public Transport {
   /// Unix path. Idempotent; called by the destructor.
   void Stop();
 
-  /// Enqueues a control record to `dst_process` (reliable: exempt from the
-  /// lossy shim). To self is delivered inline on the caller's thread.
+  /// Enqueues a control record to `dst_process`. To self is delivered
+  /// inline on the caller's thread.
   Status SendControl(int dst_process, uint16_t opcode,
                      std::vector<uint8_t> body = {});
 
@@ -143,8 +133,7 @@ class SocketTransport : public Transport {
   bool IsLocal(int node) const override;
   Status SendFrame(int src_node, int dst_node,
                    std::vector<uint8_t> frame) override;
-  /// Drains every peer's egress deque *and* shim holdback (delayed /
-  /// pending-retransmit records) to the socket.
+  /// Drains every peer's egress deque to the socket.
   void Flush() override;
 
   // Introspection -----------------------------------------------------------
@@ -154,27 +143,8 @@ class SocketTransport : public Transport {
   int64_t records_received() const;
   int64_t bytes_sent() const;
   int64_t bytes_received() const;
-  /// Counters of the record-level lossy shim (drops/retransmits/duplicates/
-  /// delays it injected). All zero when the shim is off.
-  FaultCountersSnapshot ShimCounters() const;
 
  private:
-  /// One record held back by the shim: a delayed or duplicated copy
-  /// (commit_only) or a scheduled retransmission of a dropped record.
-  struct ShimItem {
-    std::chrono::steady_clock::time_point due;
-    uint64_t order = 0;
-    std::vector<uint8_t> record;  // header + body, ready to write
-    int64_t record_seq = 0;
-    int attempt = 0;
-    bool commit_only = false;
-  };
-  struct ShimItemLater {
-    bool operator()(const ShimItem& a, const ShimItem& b) const {
-      return a.due != b.due ? a.due > b.due : a.order > b.order;
-    }
-  };
-
   /// Egress state toward one peer process.
   struct Peer {
     int fd = -1;
@@ -182,9 +152,6 @@ class SocketTransport : public Transport {
     std::condition_variable cv;       // wakes the writer
     std::condition_variable idle_cv;  // signals Flush waiters
     std::deque<std::vector<uint8_t>> queue;  // records ready to write
-    std::priority_queue<ShimItem, std::vector<ShimItem>, ShimItemLater> shim_queue;
-    int64_t next_record_seq = 0;
-    uint64_t shim_order = 0;
     bool stop = false;
     bool dead = false;  // write error: peer is gone
     int writing = 0;
@@ -199,10 +166,9 @@ class SocketTransport : public Transport {
 
   std::vector<uint8_t> BuildRecord(SocketRecordKind kind,
                                    const std::vector<uint8_t>& body) const;
-  /// Applies the shim dice to a data record and enqueues it (or schedules
-  /// it) on `peer`. `attempt` > 0 marks a retransmission.
-  void EnqueueData(Peer& peer, int dst_process, std::vector<uint8_t> record,
-                   int64_t record_seq, int attempt);
+  /// Appends a built record to `dst_process`'s egress deque and wakes its
+  /// writer; Unavailable once that connection is down.
+  Status Enqueue(int dst_process, std::vector<uint8_t> record);
   void WriterLoop(int peer_index);
   void PollLoop();
   /// Parses complete records out of `in.buffer`; returns false on a protocol
@@ -225,7 +191,6 @@ class SocketTransport : public Transport {
   std::atomic<bool> stopped_{false};
 
   std::vector<std::unique_ptr<Peer>> peers_;  // indexed by process, self unused
-  std::unique_ptr<FaultInjector> shim_;       // null when shim is off
 
   std::atomic<int64_t> records_sent_{0};
   std::atomic<int64_t> records_received_{0};

@@ -18,9 +18,10 @@
 /// (src local, dst remote per IsLocal) after it has done its own accounting
 /// and sequencing; the transport delivers the same bytes to the destination
 /// process, which hands them to its bus via MessageBus::DeliverWire().
-/// Delivery is at-least-once in-order per connection (a lossy shim may
-/// duplicate or reorder records — the bus's wire reorder buffer restores
-/// exactly-once FIFO per stream). See docs/TRANSPORT.md.
+/// Delivery is exactly-once in-order per connection; a sending bus with
+/// fault injection on may still drop, duplicate or delay whole frames
+/// before they get here, and the receiving bus's reorder buffer restores
+/// exactly-once FIFO per stream. See docs/TRANSPORT.md.
 #ifndef POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
 #define POSEIDON_SRC_TRANSPORT_TRANSPORT_H_
 
@@ -33,7 +34,7 @@ namespace poseidon {
 
 /// Abstract frame carrier under the bus. Implementations must be
 /// thread-safe: the bus calls SendFrame concurrently from sender threads and
-/// batch flushers.
+/// its fault pump.
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -110,9 +110,9 @@ TEST(ChaosPropertyTest, DropsWithRetransmitConvergeToTheCleanParameters) {
 // ------------------------------------------------------- socket backend ----
 // The same trajectory invariants with the weather injected by the *socket*
 // backend: cluster members run as threads but every remote byte crosses a
-// real loopback socket, and the lossy shim drops/duplicates/delays whole
-// records. The wire reorder buffer — not the in-process fault pump — is the
-// machinery under test.
+// real loopback socket, and each member's bus fault fabric drops/duplicates/
+// delays whole frames before they reach it. The receiving process's reorder
+// buffer, fed by DeliverWire, is the repair under test.
 
 TEST(ChaosPropertyTest, SocketBackendBitwiseIdenticalUnderRecordWeather) {
   testing::SocketClusterOptions base;  // 2 workers / 2 servers / 2 shards, BSP
@@ -124,19 +124,19 @@ TEST(ChaosPropertyTest, SocketBackendBitwiseIdenticalUnderRecordWeather) {
   for (uint64_t seed : ChaosSeeds(2)) {
     SCOPED_TRACE(SeedTrace(seed));
     testing::SocketClusterOptions options = base;
-    options.shim.seed = seed;
-    options.shim.duplicate_prob = 0.10;
-    options.shim.delay_prob = 0.25;
-    options.shim.delay_min_us = 10;
-    options.shim.delay_max_us = 400;
+    options.faults.seed = seed;
+    options.faults.duplicate_prob = 0.10;
+    options.faults.delay_prob = 0.25;
+    options.faults.delay_min_us = 10;
+    options.faults.delay_max_us = 400;
     const testing::SocketClusterRun run = testing::RunSocketCluster(options);
-    EXPECT_GT(run.shim.duplicates, 0) << "no duplicates injected; vacuous run";
-    EXPECT_GT(run.shim.delays, 0) << "no delays injected; vacuous run";
-    EXPECT_GT(run.wire.deduped, 0)
-        << "duplicates never reached the wire dedup layer";
+    EXPECT_GT(run.faults.duplicates, 0) << "no duplicates injected; vacuous run";
+    EXPECT_GT(run.faults.delays, 0) << "no delays injected; vacuous run";
+    EXPECT_GT(run.faults.deduped, 0)
+        << "duplicates never reached the dedup layer";
     EXPECT_TRUE(run.trajectory == clean)
-        << "record weather changed the socket-cluster trajectory; "
-        << FormatFaultCounters(run.shim);
+        << "socket weather changed the socket-cluster trajectory; "
+        << FormatFaultCounters(run.faults);
   }
 }
 
@@ -150,14 +150,14 @@ TEST(ChaosPropertyTest, SocketBackendDropsConvergeToTheCleanParameters) {
   for (uint64_t seed : ChaosSeeds(2)) {
     SCOPED_TRACE(SeedTrace(seed));
     testing::SocketClusterOptions options = base;
-    options.shim.seed = seed;
-    options.shim.drop_prob = 0.05;
-    options.shim.retransmit_timeout_us = 100;
+    options.faults.seed = seed;
+    options.faults.drop_prob = 0.05;
+    options.faults.retransmit_timeout_us = 100;
     const testing::SocketClusterRun run = testing::RunSocketCluster(options);
-    EXPECT_GT(run.shim.drops, 0) << "no losses injected; vacuous run";
-    EXPECT_GE(run.shim.retransmits, run.shim.drops);
+    EXPECT_GT(run.faults.drops, 0) << "no losses injected; vacuous run";
+    EXPECT_GE(run.faults.retransmits, run.faults.drops);
     EXPECT_EQ(run.trajectory.final_params, clean.final_params)
-        << FormatFaultCounters(run.shim);
+        << FormatFaultCounters(run.faults);
   }
 }
 
@@ -182,7 +182,7 @@ TEST(ChaosPropertyTest, PartitionStallsThenHealsWithoutDivergence) {
   trainer.Train(dataset, kIters);
   healer.join();
   trainer.bus().FlushFaults();
-  EXPECT_GT(trainer.bus().fault_injector()->Counters().partition_holds, 0)
+  EXPECT_GT(trainer.bus().Faults().partition_holds, 0)
       << "the partition never touched live traffic; vacuous run";
   EXPECT_EQ(testing::AllParams(trainer.worker_net(0)), clean.final_params);
 }

@@ -1,13 +1,14 @@
 // Unit tests for the transport fault fabric: deterministic fault decisions,
 // the sequencer/reorder correctness layer, and bus-level delivery under
-// drops, duplicates, delays, partitions and endpoint death — on both
-// backends. The in-process fabric (EnableFaultInjection) and the socket
-// transport's record-level shim inject the same weather through different
-// machinery; the SocketBackend tests at the bottom re-prove the dedup /
-// in-order / retransmit-on-drop properties over real loopback sockets.
+// drops, duplicates, delays, partitions and endpoint death. The bus-level
+// properties run once per backend: one in-process bus, and a pair of buses
+// joined by real loopback sockets — the same injector and reorder buffer
+// serve both.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/transport/bus.h"
@@ -149,195 +150,175 @@ TEST(StreamSequencerTest, PerStreamMonotoneFromZero) {
 
 // ------------------------------------------------------------ bus-level ----
 
-TEST(FaultyBusTest, DuplicatesAreInjectedAndDeduplicated) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
+enum class Backend { kInProcess, kSocket };
+
+// Node 0 sends to a mailbox on node 1, either within one bus or from one
+// process's bus to the other's over a loopback socket. Settle() returns once
+// every transmission sent so far — delayed copies, duplicates and
+// retransmissions included — has reached the receiving bus, so each test
+// can read the mailbox with TryPop and the counters without racing.
+class FaultyBusTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void Start(const FaultPlan& plan) {
+    if (GetParam() == Backend::kSocket) {
+      pair_ = std::make_unique<testing::SocketBusPair>(/*unix_sockets=*/false, plan);
+      sender_ = &pair_->bus(0);
+      receiver_ = &pair_->bus(1);
+    } else {
+      bus_ = std::make_unique<MessageBus>(2);
+      bus_->EnableFaultInjection(plan);
+      sender_ = receiver_ = bus_.get();
+    }
+    mailbox_ = receiver_->Register(Address{1, kServerPort});
+  }
+
+  void Settle() {
+    if (pair_ != nullptr) {
+      pair_->Barrier(0, 1);
+    } else {
+      bus_->FlushFaults();
+    }
+  }
+
+  // Weather is counted where it is injected (the sender), repair where it
+  // is undone (the receiver); in process both are the same bus.
+  FaultCountersSnapshot Faults() const {
+    FaultCountersSnapshot snap = sender_->Faults();
+    if (receiver_ != sender_) {
+      const FaultCountersSnapshot in = receiver_->Faults();
+      snap.deduped += in.deduped;
+      snap.reordered += in.reordered;
+      snap.dropped_replies += in.dropped_replies;
+    }
+    return snap;
+  }
+
+  MessageBus& sender() { return *sender_; }
+
+  std::unique_ptr<MessageBus> bus_;
+  std::unique_ptr<testing::SocketBusPair> pair_;
+  MessageBus* sender_ = nullptr;
+  MessageBus* receiver_ = nullptr;
+  std::shared_ptr<MessageBus::Mailbox> mailbox_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, FaultyBusTest,
+    ::testing::Values(Backend::kInProcess, Backend::kSocket),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return info.param == Backend::kSocket ? std::string("socket")
+                                            : std::string("inproc");
+    });
+
+TEST_P(FaultyBusTest, DuplicatesAreInjectedAndDeduplicated) {
   FaultPlan plan;
   plan.seed = 5;
   plan.duplicate_prob = 1.0;
-  bus.EnableFaultInjection(plan);
+  Start(plan);
 
   const int kMessages = 20;
   for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
+    EXPECT_TRUE(sender().Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
-  const FaultCountersSnapshot snap = bus.fault_injector()->Counters();
+  Settle();
+  const FaultCountersSnapshot snap = Faults();
   EXPECT_EQ(snap.duplicates, kMessages);
   EXPECT_EQ(snap.deduped, kMessages);
   // Exactly one copy of each, in send order.
   for (int i = 0; i < kMessages; ++i) {
-    auto received = mailbox->TryPop();
+    auto received = mailbox_->TryPop();
     ASSERT_TRUE(received.has_value()) << "message " << i << " missing";
     EXPECT_EQ(received->layer, i);
     EXPECT_EQ(received->seq, i);  // the bus sequenced the stream
   }
-  EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
+  EXPECT_FALSE(mailbox_->TryPop().has_value()) << "a duplicate leaked through";
 }
 
-TEST(FaultyBusTest, DropsAreRetransmittedUntilDelivered) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
+TEST_P(FaultyBusTest, DropsAreRetransmittedUntilDelivered) {
   FaultPlan plan;
   plan.seed = 11;
   plan.drop_prob = 0.5;
   plan.retransmit_timeout_us = 50;
-  bus.EnableFaultInjection(plan);
+  Start(plan);
 
   const int kMessages = 50;
   for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
+    EXPECT_TRUE(sender().Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
-  const FaultCountersSnapshot snap = bus.fault_injector()->Counters();
+  Settle();
+  const FaultCountersSnapshot snap = Faults();
   EXPECT_GT(snap.drops, 0);
   EXPECT_EQ(snap.retransmits, snap.drops);  // every loss was retried
   for (int i = 0; i < kMessages; ++i) {
-    auto received = mailbox->TryPop();
+    auto received = mailbox_->TryPop();
     ASSERT_TRUE(received.has_value()) << "message " << i << " lost for good";
     EXPECT_EQ(received->layer, i) << "stream order broken";
   }
 }
 
-TEST(FaultyBusTest, DelayedStreamStillArrivesInOrder) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
+TEST_P(FaultyBusTest, DelayedStreamStillArrivesInOrder) {
   FaultPlan plan;
   plan.seed = 23;
   plan.delay_prob = 0.7;
   plan.delay_min_us = 10;
   plan.delay_max_us = 2000;
-  bus.EnableFaultInjection(plan);
+  Start(plan);
 
   const int kMessages = 50;
   for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(bus.Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
+    EXPECT_TRUE(sender().Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
   }
-  bus.FlushFaults();
-  EXPECT_GT(bus.fault_injector()->Counters().delays, 0);
+  Settle();
+  EXPECT_GT(Faults().delays, 0);
   for (int i = 0; i < kMessages; ++i) {
-    auto received = mailbox->TryPop();
+    auto received = mailbox_->TryPop();
     ASSERT_TRUE(received.has_value());
     EXPECT_EQ(received->layer, i) << "per-stream FIFO violated";
   }
 }
 
-TEST(FaultyBusTest, PartitionParksTrafficAndHealReplays) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
+TEST_P(FaultyBusTest, PartitionParksTrafficAndHealReplays) {
   FaultPlan plan;  // no probabilistic faults; partitions only
-  bus.EnableFaultInjection(plan);
+  Start(plan);
 
-  bus.Partition(0, 1);
-  EXPECT_TRUE(bus.Send(MakeMessage(0, 1)).ok());
-  EXPECT_TRUE(bus.Send(MakeMessage(0, 1)).ok());
-  bus.FlushFaults();
-  EXPECT_FALSE(mailbox->TryPop().has_value()) << "partitioned traffic leaked";
-  EXPECT_EQ(bus.fault_injector()->Counters().partition_holds, 2);
+  sender().Partition(0, 1);
+  EXPECT_TRUE(sender().Send(MakeMessage(0, 1)).ok());
+  EXPECT_TRUE(sender().Send(MakeMessage(0, 1)).ok());
+  Settle();
+  EXPECT_FALSE(mailbox_->TryPop().has_value()) << "partitioned traffic leaked";
+  EXPECT_EQ(Faults().partition_holds, 2);
 
-  bus.HealPartitions();
-  bus.FlushFaults();
-  EXPECT_TRUE(mailbox->TryPop().has_value());
-  EXPECT_TRUE(mailbox->TryPop().has_value());
+  sender().HealPartitions();
+  Settle();
+  EXPECT_TRUE(mailbox_->TryPop().has_value());
+  EXPECT_TRUE(mailbox_->TryPop().has_value());
 }
 
-TEST(FaultyBusTest, ShutdownBypassesTheFaultFabric) {
-  MessageBus bus(2);
-  auto mailbox = bus.Register(Address{1, kServerPort});
+TEST_P(FaultyBusTest, ShutdownBypassesTheFaultFabric) {
   FaultPlan plan;
   plan.seed = 3;
   plan.drop_prob = 0.9;
   plan.delay_prob = 0.9;
   plan.delay_max_us = 1000000;
-  bus.EnableFaultInjection(plan);
+  Start(plan);
   Message shutdown;
   shutdown.type = MessageType::kShutdown;
   shutdown.from = Address{0, kSyncerPortBase};
   shutdown.to = Address{1, kServerPort};
-  EXPECT_TRUE(bus.Send(std::move(shutdown)).ok());
-  // Inline delivery: no flush needed, no weather applied.
-  auto received = mailbox->TryPop();
+  EXPECT_TRUE(sender().Send(std::move(shutdown)).ok());
+  // In process the push is inline: no flush needed. A socket needs its
+  // egress drained, but the fault pump holds nothing to wait for.
+  if (GetParam() == Backend::kSocket) {
+    Settle();
+  }
+  auto received = mailbox_->TryPop();
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->type, MessageType::kShutdown);
+  EXPECT_EQ(received->seq, -1) << "kShutdown was sequenced";
+  EXPECT_EQ(Faults().TotalInjected(), 0) << "weather touched kShutdown";
 }
 
-// ------------------------------------------------------- socket backend ----
-// The same properties as the FaultyBusTest suite, but injected by the
-// socket transport's record-level shim and repaired by the receiving bus's
-// wire reorder buffer. Each test pops every message (blocking: delivery is
-// eventual), then uses a stream barrier before reading counters so late
-// duplicates and retransmissions have definitely been processed.
-
-TEST(SocketBackendFaultTest, DuplicatesAreInjectedAndDeduplicated) {
-  FaultPlan shim;
-  shim.seed = 5;
-  shim.duplicate_prob = 1.0;
-  testing::SocketBusPair pair(/*unix_sockets=*/false, shim);
-  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
-
-  const int kMessages = 20;
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value()) << "message " << i << " missing";
-    EXPECT_EQ(received->layer, i);
-    EXPECT_EQ(received->seq, i);  // the bus sequenced the wire stream
-  }
-  pair.Barrier(0, 1);
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
-  EXPECT_EQ(shim_counters.duplicates, kMessages);
-  EXPECT_EQ(pair.bus(1).WireCounters().deduped, kMessages);
-  EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
-}
-
-TEST(SocketBackendFaultTest, DropsAreRetransmittedUntilDelivered) {
-  FaultPlan shim;
-  shim.seed = 11;
-  shim.drop_prob = 0.5;
-  shim.retransmit_timeout_us = 50;
-  testing::SocketBusPair pair(/*unix_sockets=*/false, shim);
-  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
-
-  const int kMessages = 50;
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value()) << "message " << i << " lost for good";
-    EXPECT_EQ(received->layer, i) << "stream order broken";
-  }
-  pair.Barrier(0, 1);
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
-  EXPECT_GT(shim_counters.drops, 0);
-  EXPECT_GE(shim_counters.retransmits, shim_counters.drops);
-}
-
-TEST(SocketBackendFaultTest, DelayedStreamStillArrivesInOrder) {
-  FaultPlan shim;
-  shim.seed = 23;
-  shim.delay_prob = 0.7;
-  shim.delay_min_us = 10;
-  shim.delay_max_us = 2000;
-  testing::SocketBusPair pair(/*unix_sockets=*/false, shim);
-  auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
-
-  const int kMessages = 50;
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_TRUE(pair.bus(0).Send(MakeMessage(0, 1, /*seq=*/-1, /*layer=*/i)).ok());
-  }
-  for (int i = 0; i < kMessages; ++i) {
-    std::optional<Message> received = mailbox->Pop();
-    ASSERT_TRUE(received.has_value());
-    EXPECT_EQ(received->layer, i) << "per-stream FIFO violated";
-  }
-  pair.Barrier(0, 1);
-  EXPECT_GT(pair.transport(0).ShimCounters().delays, 0);
-}
-
-TEST(FaultyBusTest, CloseEndpointsWakesReceiversAndAllowsReRegistration) {
+TEST(BusEndpointTest, CloseEndpointsWakesReceiversAndAllowsReRegistration) {
   MessageBus bus(2);
   auto old_mailbox = bus.Register(Address{1, kSyncerPortBase + 3});
   bus.CloseEndpoints(1, kSyncerPortBase);

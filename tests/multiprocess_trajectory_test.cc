@@ -135,17 +135,17 @@ TEST(MultiprocessTrajectoryTest, OneBitTcpClusterMatchesInProcessBitwise) {
 }
 
 TEST(MultiprocessTrajectoryTest, LossySocketsPreserveTheTrajectory) {
-  // Record-level weather on every process's egress: the cluster must train
+  // Fault-fabric weather on every process's egress: the cluster must train
   // to the exact clean trajectory, and the run must prove weather actually
-  // happened (each node logs its shim counters at teardown; the tails of
+  // happened (each node logs its fault counters at teardown; the tails of
   // those logs ride in run.log).
   const std::string log = LaunchAndExpectOracle(
       {"--transport=tcp", "--policy=dense", "--shim-seed=11",
        "--shim-drop=0.05", "--shim-dup=0.05", "--shim-delay=0.1"},
       /*workers=*/2, /*servers=*/2, /*shards=*/2,
       /*staleness=*/0, PlanPolicy::kDense);
-  EXPECT_NE(log.find("shim: faults{"), std::string::npos)
-      << "no process reported shim counters — the lossy run proved nothing:\n"
+  EXPECT_NE(log.find("fault fabric: faults{"), std::string::npos)
+      << "no process reported fault counters — the lossy run proved nothing:\n"
       << log;
 }
 

@@ -3,9 +3,9 @@
 //  1. Transport-level pairs (tests/testing/socket_pair.h): two MessageBus +
 //     SocketTransport instances over real loopback TCP / Unix sockets —
 //     control records, data-path field and payload fidelity, receiver-side
-//     send_ns restamping, record counters, Flush semantics, and the PR-4
+//     send_ns restamping, record counters, Flush semantics, and the
 //     sequencer properties (dedup, in-order release, retransmit-on-drop)
-//     under the record-level lossy shim.
+//     under the bus fault fabric's weather on a real socket.
 //
 //  2. Cluster-level conformance: a full worker/server/shard cluster whose
 //     members run as threads but talk exclusively over sockets
@@ -166,18 +166,19 @@ TEST(SocketTransportTest, ShutdownRidesUnsequenced) {
   EXPECT_EQ(got->seq, -1) << "kShutdown is exempt from wire sequencing";
 }
 
-TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
-  // Real socket chaos: the shim drops (with retransmit), duplicates and
-  // delays egress records. The receiving bus's reorder buffer must hand the
-  // consumer every message exactly once, in stream order — the PR-4
-  // sequencer properties over genuine socket weather.
+TEST(SocketTransportTest, LossySocketsDeliverExactlyOnceInOrder) {
+  // Real socket chaos: the sending bus's fault fabric drops (with
+  // retransmit), duplicates and delays frames on their way to the socket.
+  // The receiving bus's reorder buffer must hand the consumer every message
+  // exactly once, in stream order — the sequencer properties over genuine
+  // socket weather.
   constexpr int kMessages = 300;
-  FaultPlan shim;
-  shim.seed = 7;
-  shim.drop_prob = 0.15;
-  shim.duplicate_prob = 0.10;
-  shim.delay_prob = 0.20;
-  SocketBusPair pair(/*unix_sockets=*/false, shim);
+  FaultPlan faults;
+  faults.seed = 7;
+  faults.drop_prob = 0.15;
+  faults.duplicate_prob = 0.10;
+  faults.delay_prob = 0.20;
+  SocketBusPair pair(/*unix_sockets=*/false, faults);
   auto mailbox = pair.bus(1).Register(Address{1, kServerPort});
 
   for (int64_t iter = 0; iter < kMessages; ++iter) {
@@ -200,15 +201,15 @@ TEST(SocketTransportTest, LossyShimDeliversExactlyOnceInOrder) {
   // retransmitted copies must have been processed by the receiver first.
   pair.Barrier(0, 1);
 
-  const FaultCountersSnapshot shim_counters = pair.transport(0).ShimCounters();
-  EXPECT_GT(shim_counters.drops, 0) << "shim never dropped — test is vacuous";
-  EXPECT_GE(shim_counters.retransmits, shim_counters.drops)
-      << "every dropped record must be retransmitted";
-  EXPECT_GT(shim_counters.duplicates, 0);
-  EXPECT_GT(shim_counters.delays, 0);
-  const FaultCountersSnapshot wire = pair.bus(1).WireCounters();
-  EXPECT_GT(wire.deduped, 0)
-      << "duplicated records must be swallowed by the reorder buffer";
+  const FaultCountersSnapshot injected = pair.bus(0).Faults();
+  EXPECT_GT(injected.drops, 0) << "nothing was dropped — test is vacuous";
+  EXPECT_GE(injected.retransmits, injected.drops)
+      << "every dropped frame must be retransmitted";
+  EXPECT_GT(injected.duplicates, 0);
+  EXPECT_GT(injected.delays, 0);
+  const FaultCountersSnapshot repaired = pair.bus(1).Faults();
+  EXPECT_GT(repaired.deduped, 0)
+      << "duplicated frames must be swallowed by the reorder buffer";
   EXPECT_FALSE(mailbox->TryPop().has_value()) << "a duplicate leaked through";
 }
 
@@ -318,15 +319,15 @@ TEST(SocketClusterConformanceTest, SocketWeatherNeverChangesTheTrajectory) {
   for (uint64_t seed : testing::ChaosSeeds(2)) {
     SCOPED_TRACE(SeedTrace(seed));
     SocketClusterOptions lossy = clean;
-    lossy.shim.seed = seed;
-    lossy.shim.drop_prob = 0.05;
-    lossy.shim.duplicate_prob = 0.05;
-    lossy.shim.delay_prob = 0.10;
+    lossy.faults.seed = seed;
+    lossy.faults.drop_prob = 0.05;
+    lossy.faults.duplicate_prob = 0.05;
+    lossy.faults.delay_prob = 0.10;
     const SocketClusterRun run = RunSocketCluster(lossy);
     ExpectSameTrajectory(run.trajectory, oracle);
-    EXPECT_GT(run.shim.drops + run.shim.duplicates + run.shim.delays, 0)
+    EXPECT_GT(run.faults.drops + run.faults.duplicates + run.faults.delays, 0)
         << "no weather was injected — the lossy run proved nothing";
-    EXPECT_GE(run.shim.retransmits, run.shim.drops);
+    EXPECT_GE(run.faults.retransmits, run.faults.drops);
   }
 }
 

@@ -50,11 +50,8 @@ Trajectory CaptureTrajectory(const TrainerOptions& options, int iterations,
     trajectory.mean_losses.push_back(stats.mean_loss);
   }
   trainer.bus().FlushEgress();
-  trainer.bus().FlushFaults();
   trajectory.final_params = AllParams(trainer.worker_net(0));
-  if (trainer.bus().fault_injector() != nullptr) {
-    trajectory.faults = trainer.bus().fault_injector()->Counters();
-  }
+  trajectory.faults = trainer.bus().Faults();
   return trajectory;
 }
 

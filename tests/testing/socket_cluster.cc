@@ -59,6 +59,7 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
     config.trainer.server_node_base = base;
     config.trainer.ps_compression = options.compression;
     config.trainer.compression_min_floats = 1;
+    config.trainer.fault_plan = options.faults;
     config.hidden_layers = options.hidden_layers;
     config.iterations = options.iterations;
     config.process = p;
@@ -66,7 +67,6 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
     config.transport.self = p;
     config.transport.processes = endpoints;
     config.transport.node_owner = node_owner;
-    config.transport.shim = options.shim;
     members.push_back(std::make_unique<ClusterNode>(std::move(config)));
   }
 
@@ -89,8 +89,7 @@ SocketClusterRun RunSocketCluster(const SocketClusterOptions& options) {
   run.trajectory.final_params =
       FinalParamsFromRun(dir, /*worker=*/0, options.hidden_layers);
   for (const auto& member : members) {
-    Accumulate(member->shim_counters(), &run.shim);
-    Accumulate(member->wire_counters(), &run.wire);
+    Accumulate(member->faults(), &run.faults);
   }
   return run;
 }

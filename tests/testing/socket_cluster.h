@@ -32,16 +32,16 @@ struct SocketClusterOptions {
   /// Host worker w and server w on the same bus node (server_node_base 0)
   /// instead of giving every role its own node/process.
   bool colocate = false;
-  /// Record-level socket weather, applied on every member's egress.
-  FaultPlan shim;
+  /// Socket weather: every member's bus injects it on its egress
+  /// (TrainerOptions::fault_plan).
+  FaultPlan faults;
 };
 
 /// What a socket cluster run observed, shaped for comparison against the
 /// in-process CaptureTrajectory oracle.
 struct SocketClusterRun {
-  Trajectory trajectory;           ///< mean losses + worker 0 final params
-  FaultCountersSnapshot shim;      ///< weather injected, summed over members
-  FaultCountersSnapshot wire;      ///< ingress sequencing stats, summed
+  Trajectory trajectory;        ///< mean losses + worker 0 final params
+  FaultCountersSnapshot faults;  ///< weather injected and repaired, summed over members
 };
 
 /// Runs the full cluster (controller + node members as threads), captures

@@ -15,7 +15,7 @@ constexpr uint16_t kBarrierOpcode = 0x7FFF;
 
 }  // namespace
 
-SocketBusPair::SocketBusPair(bool unix_sockets, const FaultPlan& shim) {
+SocketBusPair::SocketBusPair(bool unix_sockets, std::optional<FaultPlan> faults) {
   std::vector<SocketEndpoint> endpoints(2);
   if (unix_sockets) {
     dir_ = MakeTempDir("socket_pair");
@@ -35,8 +35,10 @@ SocketBusPair::SocketBusPair(bool unix_sockets, const FaultPlan& shim) {
     options.self = p;
     options.processes = endpoints;
     options.node_owner = {0, 1};
-    options.shim = shim;
     bus_[p] = std::make_unique<MessageBus>(2);
+    if (faults.has_value()) {
+      bus_[p]->EnableFaultInjection(*faults);
+    }
     transport_[p] = std::make_shared<SocketTransport>(options);
     transport_[p]->SetControlHandler(
         [this, p](int src, uint16_t opcode, const std::vector<uint8_t>& body) {
@@ -73,7 +75,7 @@ std::vector<ControlEvent> SocketBusPair::control(int p) {
 }
 
 void SocketBusPair::Barrier(int src, int dst) {
-  transport_[src]->Flush();
+  bus_[src]->FlushEgress();
   size_t target = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -4,8 +4,9 @@
 /// SocketTransport, full mesh over real loopback TCP or AF_UNIX sockets.
 /// Control records are collected per process, and Barrier() turns the
 /// stream's FIFO guarantee into a sync point: a control record sent after
-/// Flush() is processed only after every previously written data record, so
-/// counter assertions never race late retransmissions or duplicates.
+/// FlushEgress() is processed only after every previously written data
+/// record, so counter assertions never race late retransmissions or
+/// duplicates.
 #ifndef POSEIDON_TESTS_TESTING_SOCKET_PAIR_H_
 #define POSEIDON_TESTS_TESTING_SOCKET_PAIR_H_
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,8 +34,10 @@ struct ControlEvent {
 class SocketBusPair {
  public:
   /// Binds both listeners, attaches transports to fresh 2-node buses, and
-  /// dials the mesh. CHECK-fails on any setup error.
-  explicit SocketBusPair(bool unix_sockets, const FaultPlan& shim = {});
+  /// dials the mesh. With `faults`, both buses run the fault fabric.
+  /// CHECK-fails on any setup error.
+  explicit SocketBusPair(bool unix_sockets,
+                         std::optional<FaultPlan> faults = std::nullopt);
   ~SocketBusPair();
 
   SocketBusPair(const SocketBusPair&) = delete;
@@ -46,8 +50,8 @@ class SocketBusPair {
   bool AwaitControl(int p, size_t count, int timeout_ms = 10000);
   std::vector<ControlEvent> control(int p);
 
-  /// Flushes `src`'s egress (including shim holdback) and round-trips one
-  /// control record src -> dst: on return, every data record `src` sent
+  /// Flushes `src`'s egress (fault pump, then socket queues) and round-trips
+  /// one control record src -> dst: on return, every data record `src` sent
   /// before the barrier has been processed by `dst`'s bus.
   void Barrier(int src, int dst);
 
