@@ -4,7 +4,14 @@
 // 1-bit quantization.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/nn/builders.h"
@@ -213,6 +220,144 @@ TEST(IntegrationTest, TrainCanBeResumed) {
   EXPECT_EQ(second.front().iter, 5);
   EXPECT_EQ(second.size(), 5u);
   EXPECT_LT(second.back().mean_loss, first.front().mean_loss);
+}
+
+// ----------------------------------------------------------------- golden --
+
+// Every BSP configuration below must reproduce its line of
+// tests/golden/runtime_trajectories.txt byte for byte: the per-iteration
+// mean loss (hex floats), an FNV-1a hash of worker 0's parameters, and the
+// bus's total tx bytes and messages. A refactor of the sync path leaves the
+// file unchanged; a legitimate change to a trajectory regenerates it with
+// POSEIDON_REGEN_GOLDEN=1. SSP runs are nondeterministic and stay out.
+struct TrajectoryCase {
+  std::string name;
+  NetworkFactory factory;
+  TrainerOptions options;
+};
+
+uint64_t Fnv1a(const std::vector<float>& values) {
+  uint64_t hash = 1469598103934665603ull;
+  for (float v : values) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+std::vector<TrajectoryCase> TrajectoryCases() {
+  std::vector<TrajectoryCase> cases;
+  auto add = [&cases](std::string name, NetworkFactory factory, TrainerOptions options) {
+    cases.push_back({std::move(name), std::move(factory), std::move(options)});
+  };
+  const std::vector<std::pair<const char*, PlanPolicy>> policies = {
+      {"dense", PlanPolicy::kDense},
+      {"sfb", PlanPolicy::kSfb},
+      {"hybrid", PlanPolicy::kHybrid},
+      {"onebit", PlanPolicy::kOneBit},
+      {"ring", PlanPolicy::kRingAllreduce},
+      {"tree", PlanPolicy::kTreeAllreduce},
+      {"hybrid-collective", PlanPolicy::kHybridCollective},
+  };
+  for (const auto& [name, policy] : policies) {
+    for (int shards : {1, 2, 3}) {
+      TrainerOptions options = Options(3, policy, /*servers=*/2);
+      options.shards_per_server = shards;
+      add(std::string("mlp.") + name + ".shards" + std::to_string(shards), MlpFactory(),
+          options);
+    }
+  }
+  const std::vector<std::pair<const char*, PlanCodecPolicy>> codecs = {
+      {"fp16", PlanCodecPolicy::kFp16},
+      {"int8", PlanCodecPolicy::kInt8},
+      {"topk", PlanCodecPolicy::kTopK},
+  };
+  for (const auto& [name, codec] : codecs) {
+    TrainerOptions options = Options(3, PlanPolicy::kDense, /*servers=*/2);
+    options.shards_per_server = 2;
+    options.ps_compression = codec;
+    options.compression_min_floats = 1;
+    options.topk_density = 0.25;
+    add(std::string("mlp.dense.") + name + ".shards2", MlpFactory(), options);
+  }
+  for (const auto& [name, policy] : policies) {
+    if (policy == PlanPolicy::kSfb || policy == PlanPolicy::kHybridCollective) {
+      continue;
+    }
+    add(std::string("conv.") + name, ConvFactory(), Options(3, policy, /*servers=*/2));
+  }
+  for (const auto& [name, factory] :
+       std::vector<std::pair<const char*, NetworkFactory>>{{"mlp", MlpFactory()},
+                                                           {"conv", ConvFactory()}}) {
+    TrainerOptions options = Options(3, PlanPolicy::kHybrid, /*servers=*/2);
+    options.plan_mode = TrainerPlanMode::kAuto;
+    add(std::string(name) + ".auto", factory, options);
+  }
+  return cases;
+}
+
+std::string TrajectoryLine(const TrajectoryCase& c) {
+  SyntheticDataset dataset(TinyData());
+  PoseidonTrainer trainer(c.factory, c.options);
+  const std::vector<IterationStats> stats = trainer.Train(dataset, 5);
+  std::string line = c.name + " loss=";
+  char buf[64];
+  for (size_t i = 0; i < stats.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%a", i == 0 ? "" : ",", stats[i].mean_loss);
+    line += buf;
+  }
+  int64_t tx_bytes = 0;
+  int64_t tx_msgs = 0;
+  for (int64_t b : trainer.bus().TxBytes()) {
+    tx_bytes += b;
+  }
+  for (int64_t m : trainer.bus().TxMessages()) {
+    tx_msgs += m;
+  }
+  std::snprintf(buf, sizeof(buf), " params=%016" PRIx64, Fnv1a(AllParams(trainer.worker_net(0))));
+  line += buf;
+  line += " tx_bytes=" + std::to_string(tx_bytes) + " tx_msgs=" + std::to_string(tx_msgs);
+  return line;
+}
+
+TEST(RuntimeTrajectoryGoldenTest, BspConfigurationsReproduceCommittedTrajectories) {
+  const char* dir = std::getenv("POSEIDON_GOLDEN_DIR");
+  ASSERT_NE(dir, nullptr) << "POSEIDON_GOLDEN_DIR not set (ctest sets it)";
+  const std::string path = std::string(dir) + "/runtime_trajectories.txt";
+
+  std::string text;
+  for (const TrajectoryCase& c : TrajectoryCases()) {
+    text += TrajectoryLine(c) + "\n";
+  }
+
+  if (const char* regen = std::getenv("POSEIDON_REGEN_GOLDEN");
+      regen != nullptr && regen[0] == '1') {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path
+                         << " missing; run with POSEIDON_REGEN_GOLDEN=1 to create it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string expected = buffer.str();
+  // Line-wise first, so a drift names the configuration.
+  std::istringstream want(expected);
+  std::istringstream got(text);
+  std::string want_line;
+  std::string got_line;
+  while (std::getline(want, want_line) && std::getline(got, got_line)) {
+    EXPECT_EQ(want_line, got_line) << "runtime trajectory drifted from the committed golden";
+  }
+  EXPECT_EQ(expected, text) << "line count drifted; regenerate with POSEIDON_REGEN_GOLDEN=1 "
+                               "only if the change is intentional";
 }
 
 }  // namespace
