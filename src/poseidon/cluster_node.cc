@@ -1,6 +1,5 @@
 #include "src/poseidon/cluster_node.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -32,11 +31,10 @@ ClusterNode::~ClusterNode() = default;
 
 Status ClusterNode::Run() {
   const TrainerOptions& t = config_.trainer;
-  const int num_nodes =
-      std::max(t.num_workers, t.server_node_base + t.num_servers);
-  if (static_cast<int>(config_.transport.node_owner.size()) != num_nodes) {
+  bus_ = MakeRuntimeBus(t);
+  if (static_cast<int>(config_.transport.node_owner.size()) != bus_->num_nodes()) {
     return InvalidArgumentError("node_owner must map all " +
-                                std::to_string(num_nodes) + " bus nodes");
+                                std::to_string(bus_->num_nodes()) + " bus nodes");
   }
 
   // Every process builds the same coordinator from the same shape; replicas
@@ -44,11 +42,6 @@ Status ClusterNode::Run() {
   init_net_ = workloads::TinyMlpFactory(config_.hidden_layers)();
   plan_ = AssembleRuntime(*init_net_, t, &coordinator_);
 
-  bus_ = std::make_unique<MessageBus>(num_nodes);
-  const bool faulty = t.enable_faults || t.fault_plan.any();
-  if (faulty) {
-    bus_->EnableFaultInjection(t.fault_plan);
-  }
   transport_ = std::make_shared<SocketTransport>(config_.transport);
   // Handler installation must precede Start(): control records may arrive
   // the moment the listener is up.
@@ -137,7 +130,7 @@ Status ClusterNode::Run() {
   bus_->CloseAll();
   faults_ = bus_->Faults();
   transport_->Stop();
-  if (faulty) {
+  if (faults_.TotalInjected() > 0) {
     LOG(Info) << "process " << config_.process << " fault fabric: "
               << FormatFaultCounters(faults_);
   }

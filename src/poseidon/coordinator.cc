@@ -100,10 +100,40 @@ std::vector<KvPairInfo> Coordinator::PairsOnShard(int l, int server, int shard) 
   return pairs;
 }
 
-int Coordinator::OneBitOwnerServer(int l) const { return l % cluster_.num_servers; }
+std::vector<KvPairInfo> Coordinator::ServedPairs(int l, PlannedScheme scheme, int server,
+                                                 int shard) const {
+  if (scheme == PlannedScheme::kPS) {
+    return PairsOnShard(l, server, shard);
+  }
+  if (scheme != PlannedScheme::kOneBit || server != l % cluster_.num_servers ||
+      shard != (l / cluster_.num_servers) % cluster_.shards_per_server) {
+    return {};
+  }
+  const LayerInfo& info = layer(l);
+  CHECK_GT(info.fc_m, 0) << "1-bit layers must be FC";
+  KvPairInfo whole;
+  whole.layer = l;
+  whole.length = info.total_floats;
+  whole.server = server;
+  whole.shard = shard;
+  return {whole};
+}
 
-int Coordinator::OneBitOwnerShard(int l) const {
-  return (l / cluster_.num_servers) % cluster_.shards_per_server;
+WireCodec PushCodec(PlannedScheme scheme, GradCompression compression) {
+  if (scheme == PlannedScheme::kOneBit) {
+    return WireCodec::kOneBit;
+  }
+  switch (compression) {
+    case GradCompression::kNone:
+      return WireCodec::kRawFloat;
+    case GradCompression::kFp16:
+      return WireCodec::kFp16;
+    case GradCompression::kInt8:
+      return WireCodec::kInt8;
+    case GradCompression::kTopK:
+      return WireCodec::kTopK;
+  }
+  return WireCodec::kRawFloat;
 }
 
 std::vector<int64_t> Coordinator::ServerLoadFloats() const {

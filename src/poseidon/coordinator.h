@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/models/comm_cost.h"
 #include "src/models/model_spec.h"
 #include "src/nn/network.h"
 #include "src/transport/message.h"
@@ -86,6 +87,11 @@ struct LayerInfo {
   std::vector<KvPairInfo> pairs;
 };
 
+/// The codec every push of a layer syncing under `scheme` carries: kOneBit
+/// for a 1-bit layer, otherwise the PS `compression`'s codec (kRawFloat when
+/// uncompressed).
+WireCodec PushCodec(PlannedScheme scheme, GradCompression compression);
+
 /// The information book: model + cluster facts and the KV partition plan.
 class Coordinator {
  public:
@@ -108,11 +114,14 @@ class Coordinator {
   /// KV pairs of layer `l` owned by endpoint (`server`, `shard`).
   std::vector<KvPairInfo> PairsOnShard(int l, int server, int shard) const;
 
-  /// 1-bit layers move whole (their encoding is not sliceable); layer `l`'s
-  /// owning endpoint is fixed by these two functions, which the worker-side
-  /// syncer and the serving shard must agree on.
-  int OneBitOwnerServer(int l) const;
-  int OneBitOwnerShard(int l) const;
+  /// The KV pairs of layer `l` that endpoint (`server`, `shard`) serves when
+  /// the layer syncs under `scheme`: PairsOnShard under kPS; under kOneBit,
+  /// whose encoding is not sliceable, the whole layer as one pair at offset 0
+  /// (weight, then bias) on its owner endpoint — server `l % num_servers`,
+  /// shard `(l / num_servers) % shards_per_server`; nothing otherwise. The
+  /// worker-side syncer and the serving shard both ask here, so they agree.
+  std::vector<KvPairInfo> ServedPairs(int l, PlannedScheme scheme, int server,
+                                      int shard) const;
 
   /// Total floats hosted by each server node, for balance checks (the
   /// paper's motivation for fine-grained pairs).

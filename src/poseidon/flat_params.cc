@@ -40,19 +40,11 @@ void FlatParamView::ForRange(int64_t offset, int64_t len, Fn&& fn) const {
   CHECK_EQ(remaining, 0);
 }
 
-void FlatParamView::GatherGradSlice(int64_t offset, std::vector<float>* out) const {
-  GatherGradSlice(offset, out->data(), static_cast<int64_t>(out->size()));
-}
-
 void FlatParamView::GatherGradSlice(int64_t offset, float* out, int64_t len) const {
   ForRange(offset, len, [&](size_t b, int64_t intra, int64_t out_pos, int64_t take) {
     const float* src = blocks_[b].grad->data() + intra;
     std::copy(src, src + take, out + out_pos);
   });
-}
-
-void FlatParamView::GatherValueSlice(int64_t offset, std::vector<float>* out) const {
-  GatherValueSlice(offset, out->data(), static_cast<int64_t>(out->size()));
 }
 
 void FlatParamView::GatherValueSlice(int64_t offset, float* out, int64_t len) const {
@@ -62,32 +54,11 @@ void FlatParamView::GatherValueSlice(int64_t offset, float* out, int64_t len) co
   });
 }
 
-void FlatParamView::ScatterValueSlice(int64_t offset, const std::vector<float>& data) {
-  ScatterValueSlice(offset, data.data(), static_cast<int64_t>(data.size()));
-}
-
 void FlatParamView::ScatterValueSlice(int64_t offset, const float* data, int64_t len) {
   ForRange(offset, len, [&](size_t b, int64_t intra, int64_t out_pos, int64_t take) {
     float* dst = blocks_[b].value->data() + intra;
     std::copy(data + out_pos, data + out_pos + take, dst);
   });
-}
-
-std::vector<float> FlatParamView::GatherValues() const {
-  std::vector<float> out(static_cast<size_t>(total_));
-  GatherValueSlice(0, &out);
-  return out;
-}
-
-std::vector<float> FlatParamView::GatherGrads() const {
-  std::vector<float> out(static_cast<size_t>(total_));
-  GatherGradSlice(0, &out);
-  return out;
-}
-
-void FlatParamView::ScatterValues(const std::vector<float>& data) {
-  CHECK_EQ(static_cast<int64_t>(data.size()), total_);
-  ScatterValueSlice(0, data);
 }
 
 }  // namespace poseidon

@@ -18,26 +18,14 @@ class FlatParamView {
 
   int64_t size() const { return total_; }
 
-  /// Copies gradients [offset, offset+out->size()) into `out`.
-  void GatherGradSlice(int64_t offset, std::vector<float>* out) const;
-  /// Pointer variant: copies gradients [offset, offset+len) into `out`
-  /// (used to stage straight into a wire Payload slab).
+  /// Copies gradients [offset, offset+len) into `out` (used to stage
+  /// straight into a wire Payload slab).
   void GatherGradSlice(int64_t offset, float* out, int64_t len) const;
-
-  /// Copies values [offset, offset+out->size()) into `out`.
-  void GatherValueSlice(int64_t offset, std::vector<float>* out) const;
-  /// Pointer variant of GatherValueSlice.
+  /// Copies values [offset, offset+len) into `out`.
   void GatherValueSlice(int64_t offset, float* out, int64_t len) const;
-
-  /// Writes `data` into values at [offset, offset+data.size()).
-  void ScatterValueSlice(int64_t offset, const std::vector<float>& data);
-  /// Pointer variant: writes [data, data+len) into values at offset (used
-  /// to apply straight from a wire PayloadView).
+  /// Writes [data, data+len) into values at `offset` (used to apply straight
+  /// from a wire PayloadView).
   void ScatterValueSlice(int64_t offset, const float* data, int64_t len);
-
-  std::vector<float> GatherValues() const;
-  std::vector<float> GatherGrads() const;
-  void ScatterValues(const std::vector<float>& data);
 
  private:
   /// Maps a flat range to (block, intra-block offset) pieces and applies fn.

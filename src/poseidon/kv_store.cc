@@ -17,24 +17,6 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-/// The push codec a layer's plan choice implies.
-WireCodec PushCodec(const PlanLayerChoice& choice) {
-  if (choice.scheme == PlannedScheme::kOneBit) {
-    return WireCodec::kOneBit;
-  }
-  switch (choice.compression) {
-    case GradCompression::kNone:
-      return WireCodec::kRawFloat;
-    case GradCompression::kFp16:
-      return WireCodec::kFp16;
-    case GradCompression::kInt8:
-      return WireCodec::kInt8;
-    case GradCompression::kTopK:
-      return WireCodec::kTopK;
-  }
-  return WireCodec::kRawFloat;
-}
-
 }  // namespace
 
 KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
@@ -54,21 +36,8 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
 
   for (int l = 0; l < coordinator_.num_layers(); ++l) {
     const PlanLayerChoice& choice = plan.layers[static_cast<size_t>(l)];
-    std::vector<KvPairInfo> owned;
-    if (choice.scheme == PlannedScheme::kPS) {
-      owned = coordinator_.PairsOnShard(l, server_, shard_);
-    } else if (choice.scheme == PlannedScheme::kOneBit &&
-               coordinator_.OneBitOwnerServer(l) == server_ &&
-               coordinator_.OneBitOwnerShard(l) == shard_) {
-      const LayerInfo& info = coordinator_.layer(l);
-      CHECK_GT(info.fc_m, 0) << "1-bit layers must be FC";
-      KvPairInfo whole;
-      whole.layer = l;
-      whole.length = info.total_floats;
-      whole.server = server_;
-      whole.shard = shard_;
-      owned.push_back(whole);
-    }
+    const std::vector<KvPairInfo> owned =
+        coordinator_.ServedPairs(l, choice.scheme, server_, shard_);
     if (owned.empty()) {
       continue;
     }
@@ -89,7 +58,7 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
       slab_offset += info.length;
       state.pairs.push_back(pair);
     }
-    state.push_codec = PushCodec(choice);
+    state.push_codec = PushCodec(choice.scheme, choice.compression);
     state.applied_clock = first_iter - 1;
     layers_[l] = std::move(state);
   }

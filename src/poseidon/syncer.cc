@@ -19,6 +19,7 @@ Syncer::Syncer(int worker, int layer_index, PlannedScheme scheme,
       scheme_(scheme),
       compression_(scheme == PlannedScheme::kPS ? compression
                                                      : GradCompression::kNone),
+      push_codec_(PushCodec(scheme, compression_)),
       topk_density_(topk_density),
       coordinator_(coordinator),
       bus_(bus),
@@ -38,19 +39,17 @@ Syncer::Syncer(int worker, int layer_index, PlannedScheme scheme,
     quant_ = Payload::Allocate(view_.size());
   }
   mailbox_ = bus_->Register(Address{worker_, kSyncerPortBase + layer_index_});
-  if (scheme_ == PlannedScheme::kPS) {
-    const int num_servers = coordinator_.cluster().num_servers;
-    const int num_shards = coordinator_.cluster().shards_per_server;
-    for (int s = 0; s < num_servers; ++s) {
-      for (int shard = 0; shard < num_shards; ++shard) {
-        std::vector<KvPairInfo> pairs = coordinator_.PairsOnShard(layer_index_, s, shard);
-        if (pairs.empty()) {
-          continue;
-        }
-        total_pairs_ += static_cast<int>(pairs.size());
-        pairs_by_shard_.push_back(
-            {coordinator_.cluster().ShardAddress(s, shard), std::move(pairs)});
+  const int num_servers = coordinator_.cluster().num_servers;
+  const int num_shards = coordinator_.cluster().shards_per_server;
+  for (int s = 0; s < num_servers; ++s) {
+    for (int shard = 0; shard < num_shards; ++shard) {
+      std::vector<KvPairInfo> pairs = coordinator_.ServedPairs(layer_index_, scheme_, s, shard);
+      if (pairs.empty()) {
+        continue;
       }
+      total_pairs_ += static_cast<int>(pairs.size());
+      pairs_by_shard_.push_back(
+          {coordinator_.cluster().ShardAddress(s, shard), std::move(pairs)});
     }
   }
   if (scheme_ == PlannedScheme::kSFB || scheme_ == PlannedScheme::kOneBit) {
@@ -60,12 +59,10 @@ Syncer::Syncer(int worker, int layer_index, PlannedScheme scheme,
     CHECK_NOTNULL(local_optimizer_);
   }
   if (scheme_ == PlannedScheme::kRing || scheme_ == PlannedScheme::kTree) {
-    const CollectiveAlgo algo = scheme_ == PlannedScheme::kRing
-                                    ? CollectiveAlgo::kRing
-                                    : CollectiveAlgo::kTree;
-    collective_ = std::make_unique<CollectiveSyncer>(worker_, layer_index_, algo,
-                                                     coordinator_, bus_, layer_,
-                                                     local_optimizer_);
+    CHECK_NOTNULL(local_optimizer_);
+    CHECK_GT(view_.size(), 0) << layer->name() << ": collective sync of a stateless layer";
+    collective_ = std::make_unique<CollectiveComm>(
+        bus_, worker_, coordinator_.cluster().num_workers, layer_index_);
   }
 }
 
@@ -97,13 +94,15 @@ void Syncer::MoveOut() {
     case PlannedScheme::kOneBit: {
       std::vector<ParamBlock> params = layer_->Params();
       const Tensor& bias_grad = *params[1].grad;
-      onebit_frame_ = OneBitCodec::Encode(fc_->weight_grad(), &quantizer_,
-                                          bias_grad.data(), bias_grad.size());
+      push_frames_.assign(1, OneBitCodec::Encode(fc_->weight_grad(), &quantizer_,
+                                                 bias_grad.data(), bias_grad.size()));
       break;
     }
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
-      collective_->MoveOut();
+      collective_grads_.resize(static_cast<size_t>(view_.size()));
+      view_.GatherGradSlice(0, collective_grads_.data(), view_.size());
+      WireCopyStats::Add(view_.size());
       break;
   }
 }
@@ -115,23 +114,22 @@ void Syncer::Send(int64_t iter) {
     case PlannedScheme::kAdamSf:  // simulator-only; runtime plans reject it
       break;
     case PlannedScheme::kPS:
-      SendPs(iter);
+    case PlannedScheme::kOneBit:
+      SendPush(iter);
       break;
     case PlannedScheme::kSFB:
       SendSfb(iter);
       break;
-    case PlannedScheme::kOneBit:
-      SendOneBit(iter);
-      break;
     case PlannedScheme::kRing:
+      collective_->Start(CollectiveAlgo::kRing, iter, &collective_grads_);
+      break;
     case PlannedScheme::kTree:
-      collective_->Send(iter);
+      collective_->Start(CollectiveAlgo::kTree, iter, &collective_grads_);
       break;
   }
 }
 
-void Syncer::SendPs(int64_t iter) {
-  WireCodec codec = WireCodec::kRawFloat;
+void Syncer::SendPush(int64_t iter) {
   if (compression_ != GradCompression::kNone) {
     // Error feedback: quantize grad + residual, and let each pair's encoder
     // fold its slice's rounding error back into the residual. The hash seed
@@ -149,17 +147,14 @@ void Syncer::SendPs(int64_t iter) {
         float* r = residual_.data() + pair.offset;
         switch (compression_) {
           case GradCompression::kFp16:
-            codec = WireCodec::kFp16;
             push_frames_.push_back(
                 Fp16Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
             break;
           case GradCompression::kInt8:
-            codec = WireCodec::kInt8;
             push_frames_.push_back(
                 Int8Codec::EncodeSr(q, pair.length, seed, pair.offset, r, nullptr, 0));
             break;
           case GradCompression::kTopK: {
-            codec = WireCodec::kTopK;
             const int64_t k = std::max<int64_t>(
                 1, std::min<int64_t>(pair.length,
                                      static_cast<int64_t>(topk_density_ *
@@ -176,16 +171,18 @@ void Syncer::SendPs(int64_t iter) {
   size_t frame = 0;
   for (const ShardDest& dest : pairs_by_shard_) {
     Message push;
-    push.type = MessageType::kGradPush;
+    // The 1-bit push keeps its own message type on the wire.
+    push.type = push_codec_ == WireCodec::kOneBit ? MessageType::kOneBitPush
+                                                  : MessageType::kGradPush;
     push.from = Address{worker_, kSyncerPortBase + layer_index_};
     push.to = dest.address;
     push.layer = layer_index_;
     push.worker = worker_;
     push.iter = iter;
-    push.codec = codec;
+    push.codec = push_codec_;
     push.chunks.reserve(dest.pairs.size());
     for (const KvPairInfo& pair : dest.pairs) {
-      if (compression_ == GradCompression::kNone) {
+      if (push_codec_ == WireCodec::kRawFloat) {
         // Zero-copy: the chunk is a view into the staging slab.
         push.chunks.push_back({pair.offset, staged_.View(pair.offset, pair.length)});
       } else {
@@ -219,22 +216,6 @@ void Syncer::SendSfb(int64_t iter) {
   }
 }
 
-void Syncer::SendOneBit(int64_t iter) {
-  Message push;
-  push.type = MessageType::kOneBitPush;
-  push.from = Address{worker_, kSyncerPortBase + layer_index_};
-  push.to = coordinator_.cluster().ShardAddress(
-      coordinator_.OneBitOwnerServer(layer_index_),
-      coordinator_.OneBitOwnerShard(layer_index_));
-  push.layer = layer_index_;
-  push.worker = worker_;
-  push.iter = iter;
-  push.codec = WireCodec::kOneBit;
-  push.chunks.push_back({0, onebit_frame_.View()});
-  const Status status = bus_->Send(std::move(push));
-  CHECK(status.ok()) << status.ToString();
-}
-
 void Syncer::Receive(int64_t iter) {
   TraceSpan span("sync.receive", "syncer", layer_index_);
   switch (scheme_) {
@@ -242,22 +223,25 @@ void Syncer::Receive(int64_t iter) {
     case PlannedScheme::kAdamSf:  // simulator-only; runtime plans reject it
       break;
     case PlannedScheme::kPS:
-      ReceivePs();
+    case PlannedScheme::kOneBit:
+      ReceiveReplies();
       break;
     case PlannedScheme::kSFB:
       ReceiveSfb(iter);
       break;
-    case PlannedScheme::kOneBit:
-      ReceiveOneBit();
-      break;
     case PlannedScheme::kRing:
     case PlannedScheme::kTree:
-      collective_->Receive(iter);
+      // The sequence was bound at Send; Finish validates it on every hop.
+      ReceiveCollective();
       break;
   }
 }
 
-void Syncer::ReceivePs() {
+void Syncer::ReceiveReplies() {
+  // Compressed PS layers get binary16 round-to-nearest replies regardless of
+  // the push codec (the reply is stateless; see docs/COMPRESSION.md); raw
+  // and 1-bit layers get raw values.
+  const bool compressed = compression_ != GradCompression::kNone;
   int received = 0;
   while (received < total_pairs_) {
     std::optional<Message> message = mailbox_->Pop();
@@ -270,25 +254,33 @@ void Syncer::ReceivePs() {
       return;
     }
     CHECK(message->type == MessageType::kParamReply);
-    if (compression_ == GradCompression::kNone) {
-      CHECK(message->codec == WireCodec::kRawFloat);
-      for (const WireChunk& chunk : message->chunks) {
+    CHECK(message->codec == (compressed ? WireCodec::kFp16 : WireCodec::kRawFloat));
+    // A reply carries exactly the pairs its endpoint serves, in pair order
+    // (for a 1-bit layer: one chunk holding the whole layer).
+    const auto dest = std::find_if(
+        pairs_by_shard_.begin(), pairs_by_shard_.end(),
+        [&message](const ShardDest& d) { return d.address == message->from; });
+    CHECK(dest != pairs_by_shard_.end()) << "reply from an endpoint serving no pair";
+    CHECK_EQ(message->chunks.size(), dest->pairs.size());
+    // Decode scratch lives per message: a pair-sized buffer held across the
+    // blocking Pop would raise peak RSS on large compressed layers.
+    Tensor dense;
+    for (size_t p = 0; p < dest->pairs.size(); ++p) {
+      const WireChunk& chunk = message->chunks[p];
+      const KvPairInfo& pair = dest->pairs[p];
+      CHECK_EQ(chunk.offset, pair.offset);
+      if (compressed) {
+        const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
+        CHECK(decoded.ok()) << decoded.ToString();
+        CHECK_EQ(dense.size(), pair.length);
+        view_.ScatterValueSlice(chunk.offset, dense.data(), dense.size());
+      } else {
+        CHECK_EQ(chunk.view.size(), pair.length);
         // Move(CPU2GPU): the one staging copy on the receive side.
         view_.ScatterValueSlice(chunk.offset, chunk.view.data(), chunk.view.size());
         WireCopyStats::Add(chunk.view.size());
-        ++received;
       }
-    } else {
-      // Compressed layers get binary16 round-to-nearest replies regardless
-      // of the push codec (the reply is stateless; see docs/COMPRESSION.md).
-      CHECK(message->codec == WireCodec::kFp16);
-      Tensor dense;
-      for (const WireChunk& chunk : message->chunks) {
-        const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
-        CHECK(decoded.ok()) << decoded.ToString();
-        view_.ScatterValueSlice(chunk.offset, dense.data(), dense.size());
-        ++received;
-      }
+      ++received;
     }
   }
 }
@@ -376,20 +368,25 @@ void Syncer::ReceiveSfb(int64_t iter) {
   local_optimizer_->StepSlice(key + ".b", bias_agg.data(), bias.data(), bias.size());
 }
 
-void Syncer::ReceiveOneBit() {
-  std::optional<Message> message = mailbox_->Pop();
-  if (!message.has_value()) {
-    LOG(Warning) << "worker " << worker_ << " layer " << layer_index_
-                 << ": syncer mailbox closed mid-iteration; abandoning sync";
-    return;
+void Syncer::ReceiveCollective() {
+  collective_->Finish();
+  const float inv = 1.0f / static_cast<float>(coordinator_.cluster().num_workers);
+  for (float& g : collective_grads_) {
+    g *= inv;
   }
-  CHECK(message->type == MessageType::kParamReply);
-  CHECK(message->codec == WireCodec::kRawFloat);
-  CHECK_EQ(message->chunks.size(), 1u);
-  const PayloadView& values = message->chunks[0].view;
-  CHECK_EQ(values.size(), view_.size());
-  view_.ScatterValueSlice(0, values.data(), values.size());
-  WireCopyStats::Add(values.size());
+  // Apply the averaged gradient block by block with the replicated local
+  // optimizer (identical inputs on every replica keep parameters bitwise in
+  // sync, as on the SFB path).
+  std::vector<ParamBlock> params = layer_->Params();
+  int64_t start = 0;
+  for (size_t b = 0; b < params.size(); ++b) {
+    Tensor& value = *params[b].value;
+    const std::string key = "l" + std::to_string(layer_index_) + ".p" + std::to_string(b);
+    local_optimizer_->StepSlice(key, collective_grads_.data() + start, value.data(),
+                                value.size());
+    start += value.size();
+  }
+  CHECK_EQ(start, view_.size());
 }
 
 }  // namespace poseidon

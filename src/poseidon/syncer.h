@@ -6,24 +6,32 @@
 ///             transformations and update application (in-process, the
 ///             staging is a flatten/scatter pass);
 ///   Send    — non-blocking push of the layer's updates, using the scheme
-///             the coordinator selected;
-///   Receive — blocks until fresh parameters (PS) or all peers' sufficient
-///             factors (SFB) have arrived, then applies them.
+///             the plan selected;
+///   Receive — blocks until fresh parameters (PS, 1-bit), all peers'
+///             sufficient factors (SFB) or the allreduced gradient (ring,
+///             tree) have arrived, then applies them.
 ///
-/// On the PS path the layer's KV pairs are grouped by destination shard
-/// endpoint at construction; Send coalesces each endpoint's pairs into one
-/// kGradPush message (request coalescing), so a layer striped over E shard
-/// endpoints costs E messages per iteration, not one per pair.
+/// PS and 1-bit layers share one push/reply path. At construction the
+/// syncer asks Coordinator::ServedPairs which endpoints serve which of its
+/// pairs — a PS layer's pairs striped over the shard endpoints, a 1-bit
+/// layer as one whole-layer pair on its owner — and groups them by
+/// endpoint; Send coalesces each endpoint's pairs into one push (request
+/// coalescing), so a layer striped over E endpoints costs E messages per
+/// iteration, not one per pair. Ring and tree layers run their allreduce
+/// inline: Send injects this worker's first hop, Receive finishes the
+/// remaining hops and applies the average with the replicated local
+/// optimizer (collectives sum in a rank-independent order, so replicas stay
+/// bitwise identical, as on the SFB path).
 #ifndef POSEIDON_SRC_POSEIDON_SYNCER_H_
 #define POSEIDON_SRC_POSEIDON_SYNCER_H_
 
 #include <memory>
 #include <vector>
 
+#include "src/collective/collective.h"
 #include "src/models/comm_cost.h"
 #include "src/nn/layers.h"
 #include "src/nn/sgd.h"
-#include "src/poseidon/collective_syncer.h"
 #include "src/poseidon/coordinator.h"
 #include "src/poseidon/flat_params.h"
 #include "src/tensor/onebit.h"
@@ -35,10 +43,11 @@ namespace poseidon {
 
 class Syncer {
  public:
-  /// `local_optimizer` applies SFB updates on the worker (shared across this
-  /// worker's syncers; may be null for PS-only layers). `scheme` and
-  /// `compression` are the layer's CommPlan assignment; non-PS schemes ignore
-  /// the codec. `topk_density` sizes the top-k selection per pair.
+  /// `local_optimizer` applies SFB and ring/tree updates on the worker
+  /// (shared across this worker's syncers; may be null for PS/1-bit layers).
+  /// `scheme` and `compression` are the layer's CommPlan assignment; non-PS
+  /// schemes ignore the codec. `topk_density` sizes the top-k selection per
+  /// pair.
   Syncer(int worker, int layer_index, PlannedScheme scheme, const Coordinator& coordinator,
          MessageBus* bus, Layer* layer, SgdOptimizer* local_optimizer,
          GradCompression compression = GradCompression::kNone,
@@ -48,7 +57,6 @@ class Syncer {
   Syncer& operator=(const Syncer&) = delete;
 
   PlannedScheme scheme() const { return scheme_; }
-  GradCompression compression() const { return compression_; }
 
   /// Move(GPU2CPU): stages gradients (or extracts sufficient factors) out of
   /// the layer into send buffers.
@@ -58,34 +66,36 @@ class Syncer {
   void Send(int64_t iter);
 
   /// Blocks until iteration `iter`'s synchronization completes, then
-  /// Move(CPU2GPU): writes fresh parameters back (PS/1-bit) or reconstructs +
-  /// applies the aggregate gradient locally (SFB). SF broadcasts from peers
+  /// Move(CPU2GPU): writes fresh parameters back (PS/1-bit) or applies the
+  /// aggregate gradient locally (SFB, ring, tree). SF broadcasts from peers
   /// running one iteration ahead are deferred, not lost.
   void Receive(int64_t iter);
 
  private:
-  void SendPs(int64_t iter);
+  /// One push per serving endpoint (PS or 1-bit), after encoding the PS
+  /// codec frames when the layer is compressed.
+  void SendPush(int64_t iter);
   void SendSfb(int64_t iter);
-  void SendOneBit(int64_t iter);
-  void ReceivePs();
+  /// Waits for every served pair's reply and scatters the values.
+  void ReceiveReplies();
   void ReceiveSfb(int64_t iter);
-  void ReceiveOneBit();
+  void ReceiveCollective();
 
   const int worker_;
   const int layer_index_;
   const PlannedScheme scheme_;
   const GradCompression compression_;
+  const WireCodec push_codec_;  // PS and 1-bit layers: PushCodec(scheme, compression)
   const double topk_density_;
   const Coordinator& coordinator_;
   MessageBus* bus_;
   Layer* layer_;
   FullyConnectedLayer* fc_;  // non-null for SFB/1-bit layers
-  SgdOptimizer* local_optimizer_;
+  SgdOptimizer* local_optimizer_;  // non-null for SFB/ring/tree layers
 
   FlatParamView view_;
   std::shared_ptr<MessageBus::Mailbox> mailbox_;
-  /// One coalesced push per destination shard endpoint, fixed at
-  /// construction.
+  /// One coalesced push per serving shard endpoint, fixed at construction.
   struct ShardDest {
     Address address;
     std::vector<KvPairInfo> pairs;
@@ -99,20 +109,23 @@ class Syncer {
   /// holds views (possible under SSP staleness > 0).
   Payload staged_;
   /// Compressed-PS state: the layer-sized error-feedback residual (zeroed at
-  /// construction, carried across iterations), the quantizer input scratch
-  /// (gradient + residual), and the per-pair encoded frames of the most
-  /// recent Send — kept alive here because shards buffer views into them
-  /// until the clock's aggregate is applied.
+  /// construction, carried across iterations) and the quantizer input
+  /// scratch (gradient + residual).
   Payload residual_;
   Payload quant_;
+  /// The per-pair encoded frames of the most recent push (compressed PS, or
+  /// the one 1-bit frame) — kept alive here because shards buffer views into
+  /// them until the clock's aggregate is applied.
   std::vector<Payload> push_frames_;
-  std::unique_ptr<CollectiveSyncer> collective_;  // ring/tree path
-  Payload sf_frame_;                              // SFB frame (factors + bias)
-  Tensor sf_agg_;                                 // SFB aggregate weight gradient
-  Tensor sf_scratch_;                             // one peer's reconstructed gradient
-  Payload onebit_frame_;                          // 1-bit frame (signs + levels + bias)
-  OneBitQuantizer quantizer_;                     // persistent residual
-  std::vector<Message> deferred_;                 // SFs from future iterations
+  OneBitQuantizer quantizer_;  // 1-bit: persistent residual
+  /// Ring/tree: this rank's allreduce endpoint and the flat gradient it
+  /// reduces in place.
+  std::unique_ptr<CollectiveComm> collective_;
+  std::vector<float> collective_grads_;
+  Payload sf_frame_;               // SFB frame (factors + bias)
+  Tensor sf_agg_;                  // SFB aggregate weight gradient
+  Tensor sf_scratch_;              // one peer's reconstructed gradient
+  std::vector<Message> deferred_;  // SFs from future iterations
 };
 
 }  // namespace poseidon

@@ -19,12 +19,6 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   CHECK(!options_.batch_egress)
       << "TrainerOptions::batch_egress is an inert leftover: the bus has no "
          "egress batcher, every message leaves on its sender's thread";
-  const int num_nodes = std::max(options_.num_workers,
-                                 options_.server_node_base + options_.num_servers);
-  bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.enable_faults || options_.fault_plan.any()) {
-    bus_->EnableFaultInjection(options_.fault_plan);
-  }
   if (options_.crash.active()) {
     CHECK(options_.failure_detection.enabled)
         << "a crash plan without failure detection deadlocks the cluster";
@@ -51,26 +45,13 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
   }
 
   plan_ = AssembleRuntime(*init_net_, options_, &coordinator_);
-
-  for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
-                                                  *init_net_, bus_.get(), options_.sgd));
-  }
-  for (int w = 0; w < options_.num_workers; ++w) {
-    clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-        options_.sgd, options_.syncer_threads));
-  }
-  for (auto& server : servers_) {
-    server->Start();
-  }
+  StartCommStack();
 
   if (options_.plan_feedback) {
     CHECK(options_.plan_mode == TrainerPlanMode::kAuto)
         << "bandwidth feedback re-plans the joint search; use plan_mode = kAuto";
     CHECK(!options_.crash.active() && !options_.failure_detection.enabled)
         << "plan swaps and failure recovery cannot compose";
-    bus_->EnableLinkStats();
     replanner_ = std::make_unique<Replanner>(RuntimePlanRequest(*coordinator_, options_),
                                              options_.replan_options, &PlanCache::Global());
   }
@@ -85,6 +66,39 @@ PoseidonTrainer::PoseidonTrainer(NetworkFactory factory, TrainerOptions options)
                                                            options_.failure_detection));
     }
   }
+}
+
+std::unique_ptr<MessageBus> MakeRuntimeBus(const TrainerOptions& options) {
+  auto bus = std::make_unique<MessageBus>(
+      std::max(options.num_workers, options.server_node_base + options.num_servers));
+  if (options.enable_faults || options.fault_plan.any()) {
+    bus->EnableFaultInjection(options.fault_plan);
+  }
+  return bus;
+}
+
+void PoseidonTrainer::StartCommStack() {
+  CHECK(servers_.empty() && clients_.empty());
+  bus_ = MakeRuntimeBus(options_);
+  if (options_.plan_feedback) {
+    bus_->EnableLinkStats();
+  }
+  for (int s = 0; s < options_.num_servers; ++s) {
+    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
+                                                  *init_net_, bus_.get(), options_.sgd));
+  }
+  for (int w = 0; w < options_.num_workers; ++w) {
+    clients_.push_back(MakeClient(w));
+  }
+  for (auto& server : servers_) {
+    server->Start();
+  }
+}
+
+std::unique_ptr<ClientLibrary> PoseidonTrainer::MakeClient(int w) {
+  return std::make_unique<ClientLibrary>(w, *coordinator_, *plan_,
+                                         worker_nets_[static_cast<size_t>(w)].get(),
+                                         bus_.get(), options_.sgd, options_.syncer_threads);
 }
 
 PlanRequest RuntimePlanRequest(const Coordinator& coordinator, const TrainerOptions& options) {
@@ -202,17 +216,6 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   clients_.clear();
   servers_.clear();
 
-  // Fresh fabric under the new plan's knobs.
-  const int num_nodes = std::max(options_.num_workers,
-                                 options_.server_node_base + options_.num_servers);
-  bus_ = std::make_unique<MessageBus>(num_nodes);
-  if (options_.enable_faults || options_.fault_plan.any()) {
-    bus_->EnableFaultInjection(options_.fault_plan);
-  }
-  if (replanner_ != nullptr) {
-    bus_->EnableLinkStats();
-  }
-
   // Under BSP the replicas are identical here; refresh the init net so the
   // new KV masters adopt the live parameters bitwise.
   auto src = worker_nets_[0]->LayerParams();
@@ -232,19 +235,7 @@ void PoseidonTrainer::AdoptPlan(std::shared_ptr<const CommPlan> new_plan) {
   cluster.shards_per_server = new_plan->ps_shards;
   coordinator_ = std::make_unique<Coordinator>(*init_net_, cluster);
   plan_ = std::move(new_plan);
-
-  for (int s = 0; s < options_.num_servers; ++s) {
-    servers_.push_back(std::make_unique<KvServer>(s, next_iter_, *coordinator_, *plan_,
-                                                  *init_net_, bus_.get(), options_.sgd));
-  }
-  for (int w = 0; w < options_.num_workers; ++w) {
-    clients_.push_back(std::make_unique<ClientLibrary>(
-        w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-        options_.sgd, options_.syncer_threads));
-  }
-  for (auto& server : servers_) {
-    server->Start();
-  }
+  StartCommStack();  // a fresh fabric under the new plan
 }
 
 void PoseidonTrainer::MaybeReplan() {
@@ -394,9 +385,7 @@ void PoseidonTrainer::RecoverWorker(int w) {
 
   // 3. Re-register with the shards: a fresh client library recreates every
   // syncer mailbox at the same addresses (sequence streams just continue).
-  clients_[static_cast<size_t>(w)] = std::make_unique<ClientLibrary>(
-      w, *coordinator_, *plan_, worker_nets_[static_cast<size_t>(w)].get(), bus_.get(),
-      options_.sgd, options_.syncer_threads);
+  clients_[static_cast<size_t>(w)] = MakeClient(w);
 
   // 4. Rejoin the cluster and replay from the checkpoint cursor. The replay
   // re-pushes the in-flight clock; shard reconciliation applies each

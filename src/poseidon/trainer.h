@@ -187,6 +187,12 @@ std::shared_ptr<const CommPlan> RuntimePlan(const Coordinator& coordinator,
 /// push) dies naming the layer.
 void CheckRuntimePlan(const CommPlan& plan, const Coordinator& coordinator);
 
+/// The bus a runtime built from `options` runs on: one node per worker and
+/// per server (servers from `server_node_base` on), with the seeded fault
+/// fabric enabled when `enable_faults` is set or `fault_plan` has any
+/// weather. The in-process trainer and every ClusterNode build it here.
+std::unique_ptr<MessageBus> MakeRuntimeBus(const TrainerOptions& options);
+
 /// Assembles a runtime's coordinator and plan from `options`: builds the
 /// cluster shape and a coordinator over `init_net`, fetches RuntimePlan,
 /// rebuilds the coordinator at the plan's ps_shards when the plan sized the
@@ -275,6 +281,13 @@ class PoseidonTrainer {
 
  private:
   void Shutdown();
+  /// Builds a fresh bus (MakeRuntimeBus), the KV servers and one client per
+  /// worker over the current coordinator and plan, then starts the servers.
+  /// The constructor and AdoptPlan both start here.
+  void StartCommStack();
+  /// Worker `w`'s client library over the current plan, bus and replica
+  /// (also the recovery path's re-registration).
+  std::unique_ptr<ClientLibrary> MakeClient(int w);
   /// One worker's training loop from `from_iter` through the end of the
   /// Train() window (also the recovery replay path).
   void RunWorkerLoop(int w, int64_t from_iter);

@@ -50,7 +50,9 @@ TEST(CoordinatorTest, QueryInformationBook) {
 TEST(CoordinatorTest, PairsCoverEveryParameterExactlyOnce) {
   Rng rng(2);
   auto net = BuildCifarQuick(3, 16, 10, rng);
-  Coordinator coordinator(*net, SmallClusterInfo(2, 3, 8, /*kv_bytes=*/4096));
+  ClusterInfo cluster = SmallClusterInfo(2, 3, 8, /*kv_bytes=*/4096);
+  cluster.shards_per_server = 2;
+  Coordinator coordinator(*net, cluster);
   for (int l = 0; l < coordinator.num_layers(); ++l) {
     const LayerInfo& info = coordinator.layer(l);
     int64_t covered = 0;
@@ -64,6 +66,49 @@ TEST(CoordinatorTest, PairsCoverEveryParameterExactlyOnce) {
       covered += pair.length;
     }
     EXPECT_EQ(covered, info.total_floats);
+  }
+
+  // What the endpoints serve under each scheme: under kPS and kOneBit every
+  // float of a layer is served exactly once across all endpoints (a 1-bit
+  // layer on exactly one of them); no other scheme is served at all.
+  for (PlannedScheme scheme : {PlannedScheme::kPS, PlannedScheme::kOneBit, PlannedScheme::kSFB,
+                               PlannedScheme::kRing, PlannedScheme::kTree,
+                               PlannedScheme::kNone}) {
+    SCOPED_TRACE(PlannedSchemeName(scheme));
+    const bool served = scheme == PlannedScheme::kPS || scheme == PlannedScheme::kOneBit;
+    for (int l = 0; l < coordinator.num_layers(); ++l) {
+      const LayerInfo& info = coordinator.layer(l);
+      if (scheme == PlannedScheme::kOneBit && info.fc_m == 0) {
+        continue;  // 1-bit serves FC layers only
+      }
+      std::vector<int> hits(static_cast<size_t>(info.total_floats), 0);
+      int endpoints = 0;
+      for (int server = 0; server < cluster.num_servers; ++server) {
+        for (int shard = 0; shard < cluster.shards_per_server; ++shard) {
+          const std::vector<KvPairInfo> pairs =
+              coordinator.ServedPairs(l, scheme, server, shard);
+          endpoints += pairs.empty() ? 0 : 1;
+          for (const KvPairInfo& pair : pairs) {
+            EXPECT_EQ(pair.layer, l);
+            EXPECT_EQ(pair.server, server);
+            EXPECT_EQ(pair.shard, shard);
+            ASSERT_GE(pair.offset, 0);
+            ASSERT_LE(pair.offset + pair.length, info.total_floats);
+            for (int64_t i = pair.offset; i < pair.offset + pair.length; ++i) {
+              ++hits[static_cast<size_t>(i)];
+            }
+          }
+        }
+      }
+      for (int hit : hits) {
+        ASSERT_EQ(hit, served ? 1 : 0) << "layer " << info.name;
+      }
+      if (!served) {
+        EXPECT_EQ(endpoints, 0) << "layer " << info.name;
+      } else if (scheme == PlannedScheme::kOneBit) {
+        EXPECT_EQ(endpoints, 1) << "layer " << info.name;
+      }
+    }
   }
 }
 
@@ -146,12 +191,14 @@ TEST(FlatParamViewTest, GatherScatterRoundTrip) {
   FlatParamView view(fc.Params());
   EXPECT_EQ(view.size(), 4 * 6 + 4);
 
-  std::vector<float> values = view.GatherValues();
+  std::vector<float> values(static_cast<size_t>(view.size()));
+  view.GatherValueSlice(0, values.data(), view.size());
   for (float& v : values) {
     v += 1.0f;
   }
-  view.ScatterValues(values);
-  const std::vector<float> back = view.GatherValues();
+  view.ScatterValueSlice(0, values.data(), view.size());
+  std::vector<float> back(values.size());
+  view.GatherValueSlice(0, back.data(), view.size());
   EXPECT_EQ(back, values);
 }
 
@@ -162,15 +209,16 @@ TEST(FlatParamViewTest, SlicesSpanBlockBoundaries) {
   ASSERT_EQ(view.size(), 8);
   // A slice [4, 8) covers the last 2 weight floats and both bias floats.
   std::vector<float> slice(4);
-  view.GatherValueSlice(4, &slice);
-  std::vector<float> all = view.GatherValues();
+  view.GatherValueSlice(4, slice.data(), 4);
+  std::vector<float> all(8);
+  view.GatherValueSlice(0, all.data(), 8);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(slice[static_cast<size_t>(i)], all[static_cast<size_t>(4 + i)]);
   }
   // Scatter through the same boundary.
   slice = {10.0f, 11.0f, 12.0f, 13.0f};
-  view.ScatterValueSlice(4, slice);
-  all = view.GatherValues();
+  view.ScatterValueSlice(4, slice.data(), 4);
+  view.GatherValueSlice(0, all.data(), 8);
   EXPECT_EQ(all[5], 11.0f);
   EXPECT_EQ(all[7], 13.0f);
 }
@@ -181,7 +229,7 @@ TEST(FlatParamViewTest, GradGatherReadsGradients) {
   fc.weight_grad().Fill(3.0f);
   FlatParamView view(fc.Params());
   std::vector<float> grads(static_cast<size_t>(view.size()));
-  view.GatherGradSlice(0, &grads);
+  view.GatherGradSlice(0, grads.data(), view.size());
   EXPECT_EQ(grads[0], 3.0f);
   EXPECT_EQ(grads[3], 3.0f);
   EXPECT_EQ(grads[4], 0.0f);  // bias grad untouched
