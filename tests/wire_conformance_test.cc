@@ -125,6 +125,79 @@ Message SfBroadcast() {
   return m;
 }
 
+// Deterministic gradient-like values that binary16 and int8 cannot represent
+// exactly, so stochastic rounding draws noise at every element.
+std::vector<float> SyntheticGradient(int64_t n) {
+  std::vector<float> values(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    values[static_cast<size_t>(i)] =
+        static_cast<float>((i * 7919) % 2001 - 1000) / 997.0f;
+  }
+  return values;
+}
+
+// A one-frame compressed PS message (gradient push or parameter reply).
+Message CompressedMessage(MessageType type, WireCodec codec, int64_t offset,
+                          const Payload& frame) {
+  Message m;
+  m.type = type;
+  m.codec = codec;
+  const bool push = type == MessageType::kGradPush;
+  const Address worker{1, kSyncerPortBase + 4};
+  const Address shard{0, kServerPort + 1};
+  m.from = push ? worker : shard;
+  m.to = push ? shard : worker;
+  m.layer = 4;
+  m.worker = push ? 1 : 0;
+  m.iter = 11;
+  m.seq = 3;
+  m.chunks.push_back(WireChunk{offset, frame.View()});
+  return m;
+}
+
+// fp16 stochastic-rounding push: odd length spanning more than two 1024-float
+// windows, at a non-zero layer offset (the rounding noise is keyed by it).
+Message Fp16Push() {
+  static Payload frame = [] {
+    const std::vector<float> quant = SyntheticGradient(2049);
+    return Fp16Codec::EncodeSr(quant.data(), 2049, QuantSeed(4, 11), 4096, nullptr,
+                               nullptr, 0);
+  }();
+  return CompressedMessage(MessageType::kGradPush, WireCodec::kFp16, 4096, frame);
+}
+
+// fp16 round-to-nearest parameter reply (the stateless direction).
+Message Fp16Reply() {
+  static Payload frame = [] {
+    const std::vector<float> values = SyntheticGradient(1025);
+    return Fp16Codec::EncodeRn(values.data(), 1025, nullptr, 0);
+  }();
+  return CompressedMessage(MessageType::kParamReply, WireCodec::kFp16, 0, frame);
+}
+
+// int8 push whose length is a multiple of neither 4 (padded last word) nor
+// 256 (short last chunk), above two windows.
+Message Int8Push() {
+  static Payload frame = [] {
+    const std::vector<float> quant = SyntheticGradient(2311);
+    return Int8Codec::EncodeSr(quant.data(), 2311, QuantSeed(4, 11), 4096, nullptr,
+                               nullptr, 0);
+  }();
+  return CompressedMessage(MessageType::kGradPush, WireCodec::kInt8, 4096, frame);
+}
+
+// top-k push whose selected indices sit on 1024-float window edges.
+Message TopKPush() {
+  static Payload frame = [] {
+    std::vector<float> quant = SyntheticGradient(3000);
+    for (int64_t edge : {0, 1023, 1024, 2047, 2048, 2999}) {
+      quant[static_cast<size_t>(edge)] = (edge % 2 == 0 ? 8.0f : -8.0f) - edge / 512.0f;
+    }
+    return TopKCodec::Encode(quant.data(), 3000, 6, nullptr, nullptr, 0);
+  }();
+  return CompressedMessage(MessageType::kGradPush, WireCodec::kTopK, 0, frame);
+}
+
 void ExpectSameMessage(const Message& got, const Message& want) {
   EXPECT_EQ(static_cast<int>(got.type), static_cast<int>(want.type));
   EXPECT_EQ(static_cast<int>(got.codec), static_cast<int>(want.codec));
@@ -151,11 +224,19 @@ void ExpectSameMessage(const Message& got, const Message& want) {
   }
 }
 
+// Every pinned message, by its fixture name.
+std::map<std::string, Message> AllMessages() {
+  return {{"raw_push", RawPush()},         {"onebit_push", OneBitPush()},
+          {"sf_broadcast", SfBroadcast()}, {"fp16_push", Fp16Push()},
+          {"fp16_reply", Fp16Reply()},     {"int8_push", Int8Push()},
+          {"topk_push", TopKPush()}};
+}
+
 std::map<std::string, std::vector<uint8_t>> AllFrames() {
   std::map<std::string, std::vector<uint8_t>> frames;
-  frames["raw_push"] = EncodeMessageFrame(RawPush());
-  frames["onebit_push"] = EncodeMessageFrame(OneBitPush());
-  frames["sf_broadcast"] = EncodeMessageFrame(SfBroadcast());
+  for (const auto& [name, message] : AllMessages()) {
+    frames[name] = EncodeMessageFrame(message);
+  }
   return frames;
 }
 
@@ -169,7 +250,7 @@ TEST(WireConformanceTest, LayoutConstantsAreTheAccountedOnes) {
 }
 
 TEST(WireConformanceTest, FrameSizeIsExactlyTheAccountedWireBytes) {
-  for (const Message& m : {RawPush(), OneBitPush(), SfBroadcast()}) {
+  for (const auto& [name, m] : AllMessages()) {
     EXPECT_EQ(static_cast<int64_t>(EncodeMessageFrame(m).size()), m.WireBytes());
   }
 }
@@ -225,7 +306,8 @@ TEST(WireConformanceTest, GoldenBytesMatchTheCommittedFixture) {
 }
 
 TEST(WireConformanceTest, SingleFramesDecodeBitExactly) {
-  for (const Message& original : {RawPush(), OneBitPush(), SfBroadcast()}) {
+  for (const auto& [name, original] : AllMessages()) {
+    SCOPED_TRACE(name);
     Message sent = original;
     sent.send_ns = 12345;  // a sender-clock stamp that must stay behind
     const std::vector<uint8_t> frame = EncodeMessageFrame(sent);
@@ -258,7 +340,8 @@ TEST(WireConformanceTest, DecodedPayloadsReconstructThroughTheCodecRegistry) {
   // The receiver's real consumption path: look the codec up by the id in the
   // frame header and decode the chunk views. Dense reconstructions must be
   // bitwise identical before and after the socket trip.
-  for (const Message& original : {OneBitPush(), SfBroadcast()}) {
+  for (const auto& [name, original] : AllMessages()) {
+    SCOPED_TRACE(name);
     const std::vector<uint8_t> frame = EncodeMessageFrame(original);
     Message decoded;
     ASSERT_TRUE(
