@@ -285,7 +285,8 @@ void BM_CodecOneBitRoundTrip(benchmark::State& state) {
   Tensor out;
   for (auto _ : state) {
     Payload frame = OneBitCodec::Encode(grad, &quantizer, nullptr, 0);
-    benchmark::DoNotOptimize(OneBitCodec::DecodeDense(frame.View(), &out));
+    benchmark::DoNotOptimize(
+        CodecRegistry::Get(WireCodec::kOneBit).Decode(frame.View(), &out, nullptr));
   }
   state.SetBytesProcessed(state.iterations() * 256 * 256 * 4);
 }
@@ -376,7 +377,8 @@ void RecordRoofline(BenchRecord* record) {
     for (int rep = 0; rep < 3; ++rep) {
       const double onebit_ns = NsPerCall([&] {
         Payload frame = OneBitCodec::Encode(onebit_grad, &quantizer, nullptr, 0);
-        benchmark::DoNotOptimize(OneBitCodec::DecodeDense(frame.View(), &onebit_out));
+        benchmark::DoNotOptimize(CodecRegistry::Get(WireCodec::kOneBit)
+                                     .Decode(frame.View(), &onebit_out, nullptr));
       });
       record->Append(std::string("onebit_roundtrip_floats_per_s_") + suffix,
                      1e9 * (256.0 * 256.0) / onebit_ns);
@@ -597,7 +599,8 @@ bool SelfCheckAndRecord(BenchRecord* record) {
     record->Append("sf_roundtrip_floats_per_s", 1e9 * (256.0 * 512.0) / sf_ns);
     const double onebit_ns = NsPerCall([&] {
       Payload frame = OneBitCodec::Encode(onebit_grad, &quantizer, nullptr, 0);
-      benchmark::DoNotOptimize(OneBitCodec::DecodeDense(frame.View(), &onebit_out));
+      benchmark::DoNotOptimize(CodecRegistry::Get(WireCodec::kOneBit)
+                                     .Decode(frame.View(), &onebit_out, nullptr));
     });
     record->Append("onebit_roundtrip_floats_per_s", 1e9 * (256.0 * 256.0) / onebit_ns);
   }

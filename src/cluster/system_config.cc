@@ -10,7 +10,6 @@ SystemConfig CaffePlusPs() {
   config.overlap = OverlapMode::kNone;
   config.sharding = ShardingMode::kKvPairs;
   config.policy = PlanPolicy::kDense;
-  config.blocking_memcpy = true;
   return config;
 }
 

@@ -43,22 +43,29 @@ KvShard::KvShard(int server_id, int shard_id, int64_t first_iter,
     }
     FlatParamView view(init_net.layer(l).Params());
     LayerState state;
+    state.push_codec = PushCodec(choice.scheme, choice.compression);
     state.pairs.reserve(owned.size());
     int64_t total = 0;
     for (const KvPairInfo& info : owned) {
       total += info.length;
     }
     state.params = Payload::Allocate(total);
+    const LayerInfo& layer = coordinator_.layer(l);
     int64_t slab_offset = 0;
     for (const KvPairInfo& info : owned) {
       PairState pair;
       pair.info = info;
       pair.slab_offset = slab_offset;
+      // A 1-bit frame carries the [fc_m, fc_n] weight and the bias; every
+      // other push is the pair's floats, with no trailer.
+      pair.frame_shape =
+          state.push_codec == WireCodec::kOneBit
+              ? Codec::Shape{{layer.fc_m, layer.fc_n}, info.length - layer.fc_m * layer.fc_n}
+              : Codec::Shape{{info.length}, 0};
       view.GatherValueSlice(info.offset, state.params.data() + slab_offset, info.length);
       slab_offset += info.length;
       state.pairs.push_back(pair);
     }
-    state.push_codec = PushCodec(choice.scheme, choice.compression);
     state.applied_clock = first_iter - 1;
     layers_[l] = std::move(state);
   }
@@ -94,21 +101,14 @@ void KvShard::ServiceLoop() {
   }
 }
 
-bool KvShard::FrameFits(const LayerState& state, int layer, const PairState& pair,
+bool KvShard::FrameFits(const LayerState& state, const PairState& pair,
                         const WireChunk& chunk) const {
   if (chunk.offset != pair.info.offset) {
     return false;
   }
-  if (state.push_codec == WireCodec::kOneBit) {
-    // Validate() alone would accept a transposed frame (rows * cols match).
-    const LayerInfo& info = coordinator_.layer(layer);
-    const StatusOr<OneBitCodec::Frame> frame = OneBitCodec::Parse(chunk.view);
-    return frame.ok() && frame->rows == info.fc_m && frame->cols == info.fc_n &&
-           frame->rows * frame->cols + frame->bias_len == pair.info.length;
-  }
-  const StatusOr<int64_t> dense_count =
-      CodecRegistry::Get(state.push_codec).Validate(chunk.view);
-  return dense_count.ok() && *dense_count == pair.info.length;
+  const StatusOr<Codec::Shape> shape =
+      CodecRegistry::Get(state.push_codec).Inspect(chunk.view);
+  return shape.ok() && *shape == pair.frame_shape;
 }
 
 void KvShard::HandlePush(const Message& message) {
@@ -117,32 +117,22 @@ void KvShard::HandlePush(const Message& message) {
   CHECK(it != layers_.end()) << "server " << server_ << " shard " << shard_
                              << " serves no part of layer " << message.layer;
   LayerState& state = it->second;
-  if (state.push_codec == WireCodec::kRawFloat) {
-    CHECK(message.codec == WireCodec::kRawFloat);
-    CHECK_EQ(message.chunks.size(), state.pairs.size());
-    for (size_t p = 0; p < state.pairs.size(); ++p) {
-      CHECK_EQ(message.chunks[p].offset, state.pairs[p].info.offset);
-      CHECK_EQ(message.chunks[p].view.size(), state.pairs[p].info.length);
-    }
-  } else {
-    // A codec frame is sized by the sender, so treat it as wire input: a
-    // codec mismatch or a frame that fails validation (or does not fit the
-    // layer's shape) drops the push whole — no buffering, no reply —
-    // instead of crashing the server or poisoning the clock's aggregate.
-    bool well_formed =
-        message.codec == state.push_codec && message.chunks.size() == state.pairs.size();
-    for (size_t p = 0; well_formed && p < state.pairs.size(); ++p) {
-      well_formed = FrameFits(state, message.layer, state.pairs[p], message.chunks[p]);
-    }
-    if (!well_formed) {
-      ++rejected_pushes_;
-      LOG(Warning) << "server " << server_ << " shard " << shard_
-                   << ": dropping malformed " << WireCodecName(message.codec)
-                   << " push for layer " << message.layer << " from worker "
-                   << message.worker << " (expected "
-                   << WireCodecName(state.push_codec) << ")";
-      return;
-    }
+  // Every push is sized by its sender, so treat it as wire input: a codec
+  // mismatch or a frame that fails validation (or does not fit its pair)
+  // drops the push whole — no buffering, no reply — instead of crashing the
+  // server or poisoning the clock's aggregate.
+  bool well_formed =
+      message.codec == state.push_codec && message.chunks.size() == state.pairs.size();
+  for (size_t p = 0; well_formed && p < state.pairs.size(); ++p) {
+    well_formed = FrameFits(state, state.pairs[p], message.chunks[p]);
+  }
+  if (!well_formed) {
+    ++rejected_pushes_;
+    LOG(Warning) << "server " << server_ << " shard " << shard_ << ": dropping malformed "
+                 << WireCodecName(message.codec) << " push for layer " << message.layer
+                 << " from worker " << message.worker << " (expected "
+                 << WireCodecName(state.push_codec) << ")";
+    return;
   }
   const int num_workers = coordinator_.cluster().num_workers;
   const int w = message.worker;
@@ -199,44 +189,29 @@ void KvShard::Apply(int layer, LayerState& state, int64_t clock) {
   CHECK(pending != state.pending.end());
   const std::vector<std::vector<PayloadView>>& contributions =
       pending->second.contributions;
-  const bool onebit = state.push_codec == WireCodec::kOneBit;
-  const Codec* codec = state.push_codec == WireCodec::kRawFloat
-                           ? nullptr
-                           : &CodecRegistry::Get(state.push_codec);
-  // A 1-bit layer's one pair is the quantized weight, then the dense bias.
-  const LayerInfo& info = coordinator_.layer(layer);
-  const int64_t weight_floats = onebit ? info.fc_m * info.fc_n : 0;
+  const Codec& codec = CodecRegistry::Get(state.push_codec);
   const std::string key = "l" + std::to_string(layer);
-  Tensor decoded;
   for (size_t p = 0; p < state.pairs.size(); ++p) {
     const PairState& pair = state.pairs[p];
     float* value = state.params.data() + pair.slab_offset;
-    // Reduce in worker order for bit-deterministic results, reading each
-    // contribution straight from the sender's slab (codec frames are
-    // expanded first; they were validated on arrival).
+    // Reduce in worker order for bit-deterministic results. Each
+    // contribution (validated on arrival) expands straight into the sum: a
+    // raw push as one piece read from the sender's slab, a codec frame one
+    // window at a time.
     std::vector<float> grad(static_cast<size_t>(pair.info.length), 0.0f);
+    float* sum = grad.data();
     for (int w = 0; w < num_workers; ++w) {
-      const PayloadView& contribution = contributions[static_cast<size_t>(w)][p];
-      if (codec == nullptr) {
-        simd::ReduceAdd(grad.data(), contribution.data(), pair.info.length);
-      } else if (onebit) {
-        const Status status = OneBitCodec::DecodeDense(contribution, &decoded);
-        CHECK(status.ok()) << status.ToString();
-        CHECK_EQ(decoded.size(), weight_floats);
-        simd::Axpy(grad.data(), 1.0f, decoded.data(), weight_floats);
-        const StatusOr<OneBitCodec::Frame> frame = OneBitCodec::Parse(contribution);
-        CHECK(frame.ok()) << frame.status().ToString();
-        CHECK_EQ(weight_floats + frame->bias_len, pair.info.length);
-        simd::ReduceAdd(grad.data() + weight_floats, frame->bias.data(), frame->bias_len);
-      } else {
-        const Status status = codec->Decode(contribution, &decoded, nullptr);
-        CHECK(status.ok()) << status.ToString();
-        CHECK_EQ(decoded.size(), pair.info.length);
-        simd::ReduceAdd(grad.data(), decoded.data(), pair.info.length);
-      }
+      const Status status = codec.Expand(
+          contributions[static_cast<size_t>(w)][p],
+          [sum](int64_t offset, const float* data, int64_t len) {
+            simd::ReduceAdd(sum + offset, data, len);
+          });
+      CHECK(status.ok()) << status.ToString();
     }
     simd::Scale(grad.data(), 1.0f / static_cast<float>(num_workers), pair.info.length);
-    if (onebit) {
+    if (state.push_codec == WireCodec::kOneBit) {
+      // A 1-bit layer's one pair is the quantized weight, then the bias.
+      const int64_t weight_floats = pair.frame_shape.dense();
       optimizer_.StepSlice(key + ".w", grad.data(), value, weight_floats);
       optimizer_.StepSlice(key + ".b", grad.data() + weight_floats, value + weight_floats,
                            pair.info.length - weight_floats);

@@ -14,9 +14,10 @@
 /// the shard's pairs of it; a 1-bit layer, whose encoding is not sliceable,
 /// is one pair at offset 0 (weight, then bias) on its owner shard. Per layer
 /// the shard keeps one parameter slab, one pending buffer of pushes per
-/// clock, one applied-clock cursor and one list of waiting reads; only the
-/// step that turns a clock's contributions into the averaged gradient
-/// depends on the push codec (see KvShard::Apply).
+/// clock, one applied-clock cursor and one list of waiting reads. Apply
+/// reduces every contribution the same way, whatever its codec: the
+/// codec's Expand streams the frame straight into the pair's gradient sum
+/// (see KvShard::Apply).
 ///
 /// Consistency is Stale Synchronous Parallel (SSP) with bound `s =
 /// ClusterInfo::staleness`:
@@ -33,10 +34,8 @@
 /// is answered immediately from the freshest applied values and the worker
 /// runs ahead — at most `s + 1` clocks ahead of the slowest worker.
 ///
-/// Codec frames (compressed PS pushes and 1-bit pushes) are wire input: a
-/// frame whose codec, offsets or shape do not match the layer drops the
-/// push whole and counts it in rejected_pushes(). Raw fp32 pushes are
-/// trusted and CHECKed.
+/// Every push is wire input: a push whose codec, offsets or frame shapes
+/// do not match the layer drops whole and counts in rejected_pushes().
 ///
 /// Crash recovery (docs/FAULT_TOLERANCE.md): a restarted worker replays its
 /// in-flight clock by re-pushing every layer. The shard reconciles replays
@@ -108,9 +107,9 @@ class KvShard {
   /// Pushes answered without contributing to an aggregate: replays of an
   /// already-applied clock, or duplicates of an already-buffered slot.
   int64_t reconciled_pushes() const { return reconciled_pushes_; }
-  /// Codec-frame pushes (compressed PS or 1-bit) dropped whole for a codec
-  /// mismatch or a malformed or misshapen frame (a bad frame must never
-  /// crash the server or poison an aggregate).
+  /// Pushes dropped whole for a codec mismatch or a malformed or misshapen
+  /// frame (a bad frame must never crash the server or poison an
+  /// aggregate).
   int64_t rejected_pushes() const { return rejected_pushes_; }
   /// Replies that could not be delivered (receiver endpoint closed — the
   /// crash window between worker death and restart).
@@ -137,6 +136,8 @@ class KvShard {
     /// Float offset of this pair's master copy within the layer's parameter
     /// slab (pairs are concatenated in pair order).
     int64_t slab_offset = 0;
+    /// The shape every push frame for this pair must have.
+    Codec::Shape frame_shape;
   };
   /// One parked parameter read awaiting the SSP gate. `enqueue_ns` (steady
   /// clock) and `deferred` drive the stall accounting: a read answered in
@@ -178,8 +179,8 @@ class KvShard {
   /// clock in order, then releases the reads the SSP gate allows.
   void HandlePush(const Message& message);
   /// Whether `chunk` is a well-formed `state.push_codec` frame for `pair`
-  /// of `layer` (offset, codec framing, and the layer's shape).
-  bool FrameFits(const LayerState& state, int layer, const PairState& pair,
+  /// (offset, codec framing, and the pair's frame shape).
+  bool FrameFits(const LayerState& state, const PairState& pair,
                  const WireChunk& chunk) const;
   /// Averages clock `clock`'s contributions in worker order and steps the
   /// optimizer over the layer's slab.

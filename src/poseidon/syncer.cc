@@ -241,7 +241,9 @@ void Syncer::ReceiveReplies() {
   // Compressed PS layers get binary16 round-to-nearest replies regardless of
   // the push codec (the reply is stateless; see docs/COMPRESSION.md); raw
   // and 1-bit layers get raw values.
-  const bool compressed = compression_ != GradCompression::kNone;
+  const WireCodec reply_codec =
+      compression_ != GradCompression::kNone ? WireCodec::kFp16 : WireCodec::kRawFloat;
+  const Codec& codec = CodecRegistry::Get(reply_codec);
   int received = 0;
   while (received < total_pairs_) {
     std::optional<Message> message = mailbox_->Pop();
@@ -254,7 +256,7 @@ void Syncer::ReceiveReplies() {
       return;
     }
     CHECK(message->type == MessageType::kParamReply);
-    CHECK(message->codec == (compressed ? WireCodec::kFp16 : WireCodec::kRawFloat));
+    CHECK(message->codec == reply_codec);
     // A reply carries exactly the pairs its endpoint serves, in pair order
     // (for a 1-bit layer: one chunk holding the whole layer).
     const auto dest = std::find_if(
@@ -262,23 +264,23 @@ void Syncer::ReceiveReplies() {
         [&message](const ShardDest& d) { return d.address == message->from; });
     CHECK(dest != pairs_by_shard_.end()) << "reply from an endpoint serving no pair";
     CHECK_EQ(message->chunks.size(), dest->pairs.size());
-    // Decode scratch lives per message: a pair-sized buffer held across the
-    // blocking Pop would raise peak RSS on large compressed layers.
-    Tensor dense;
     for (size_t p = 0; p < dest->pairs.size(); ++p) {
       const WireChunk& chunk = message->chunks[p];
       const KvPairInfo& pair = dest->pairs[p];
       CHECK_EQ(chunk.offset, pair.offset);
-      if (compressed) {
-        const Status decoded = Fp16Codec::DecodeDense(chunk.view, &dense);
-        CHECK(decoded.ok()) << decoded.ToString();
-        CHECK_EQ(dense.size(), pair.length);
-        view_.ScatterValueSlice(chunk.offset, dense.data(), dense.size());
-      } else {
-        CHECK_EQ(chunk.view.size(), pair.length);
+      const StatusOr<Codec::Shape> shape = codec.Inspect(chunk.view);
+      CHECK(shape.ok()) << shape.status().ToString();
+      CHECK(*shape == (Codec::Shape{{pair.length}, 0}));
+      // Each piece lands straight in the layer's parameters: a raw reply as
+      // one piece read from the shard's slab, an fp16 one a window at a time.
+      const Status status = codec.Expand(
+          chunk.view, [this, &pair](int64_t offset, const float* data, int64_t len) {
+            view_.ScatterValueSlice(pair.offset + offset, data, len);
+          });
+      CHECK(status.ok()) << status.ToString();
+      if (reply_codec == WireCodec::kRawFloat) {
         // Move(CPU2GPU): the one staging copy on the receive side.
-        view_.ScatterValueSlice(chunk.offset, chunk.view.data(), chunk.view.size());
-        WireCopyStats::Add(chunk.view.size());
+        WireCopyStats::Add(pair.length);
       }
       ++received;
     }

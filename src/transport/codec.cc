@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -21,6 +23,13 @@ namespace {
 // downstream size products overflow-free in int64.
 constexpr int64_t kMaxWireDim = int64_t{1} << 27;
 
+// Elements fp16, int8 and top-k stage per window, encoding and decoding
+// alike. A multiple of the int8 chunk (so a window starts on a whole scale)
+// and of four (so it starts on a whole packed fp16 or int8 word).
+constexpr int64_t kWindow = 1024;
+static_assert(kWindow % simd::kInt8ChunkSize == 0 && kWindow % 4 == 0,
+              "windows must start on whole scales and whole packed words");
+
 // Integers are carried in float words bit-cast with memcpy; the words are
 // never read as floats, so the bit patterns (which may be NaNs) are inert.
 void StoreWord(float* dst, uint32_t value) { std::memcpy(dst, &value, sizeof(value)); }
@@ -31,47 +40,85 @@ uint32_t LoadWord(const float* src) {
   return value;
 }
 
-Status Truncated(const char* codec, int64_t want, int64_t got) {
-  return OutOfRangeError(std::string(codec) + " frame truncated: need " +
-                         std::to_string(want) + " words, have " + std::to_string(got));
-}
-
 Status BadDim(const char* codec, int64_t value) {
   return InvalidArgumentError(std::string(codec) + " frame has invalid dimension " +
                               std::to_string(value));
 }
 
-// Reads a header word as a non-negative bounded int64, or fails.
-StatusOr<int64_t> HeaderDim(const char* codec, const PayloadView& frame, int64_t word) {
-  if (word >= frame.size()) {
-    return Truncated(codec, word + 1, frame.size());
+// The one header reader: the frame's first N words as dimensions, each a
+// non-negative int32 no larger than kMaxWireDim.
+template <size_t N>
+StatusOr<std::array<int64_t, N>> ReadHeader(const char* codec, const PayloadView& frame) {
+  if (frame.size() < static_cast<int64_t>(N)) {
+    return OutOfRangeError(std::string(codec) + " frame truncated: need " +
+                           std::to_string(N) + " header words, have " +
+                           std::to_string(frame.size()));
   }
-  const int64_t value = static_cast<int64_t>(static_cast<int32_t>(LoadWord(frame.data() + word)));
-  if (value < 0 || value > kMaxWireDim) {
-    return BadDim(codec, value);
+  std::array<int64_t, N> dims;
+  for (size_t i = 0; i < N; ++i) {
+    dims[i] = static_cast<int32_t>(LoadWord(frame.data() + i));
+    if (dims[i] < 0 || dims[i] > kMaxWireDim) {
+      return BadDim(codec, dims[i]);
+    }
   }
-  return value;
+  return dims;
 }
 
-// a * b, or failure when the product would leave the sane frame-size range.
-// Every factor a Parse multiplies has already passed HeaderDim's kMaxWireDim
-// bound, so the products below cannot wrap int64_t — but checking here keeps
-// the invariant local: a hostile header is rejected by arithmetic, not by an
-// argument about bounds established elsewhere.
-StatusOr<int64_t> CheckedMul(const char* codec, int64_t a, int64_t b) {
-  if (a < 0 || b < 0 || (b != 0 && a > (int64_t{1} << 62) / b)) {
-    return InvalidArgumentError(std::string(codec) + " frame size overflows: " +
-                                std::to_string(a) + " * " + std::to_string(b));
+// The one region slicer: checks that `frame` is exactly `header` words plus
+// the regions' lengths, then points each region at its span, in order. The
+// running total is bounded, so a hostile header is rejected by arithmetic,
+// not by an argument about bounds established elsewhere.
+Status SliceRegions(const char* codec, const PayloadView& frame, int64_t header,
+                    std::initializer_list<std::pair<int64_t, PayloadView*>> regions) {
+  int64_t want = header;
+  for (const auto& region : regions) {
+    if (region.first < 0 || region.first > (int64_t{1} << 62) - want) {
+      return InvalidArgumentError(std::string(codec) + " frame size overflows");
+    }
+    want += region.first;
   }
-  return a * b;
+  if (frame.size() != want) {
+    return want > frame.size()
+               ? OutOfRangeError(std::string(codec) + " frame truncated: need " +
+                                 std::to_string(want) + " words, have " +
+                                 std::to_string(frame.size()))
+               : InvalidArgumentError(std::string(codec) + " frame has " +
+                                      std::to_string(frame.size()) + " words, expected " +
+                                      std::to_string(want));
+  }
+  int64_t cursor = header;
+  for (const auto& [length, view] : regions) {
+    *view = frame.Sub(cursor, length);
+    cursor += length;
+  }
+  return Status::Ok();
 }
 
-// Copies a frame's bias trailer (possibly empty) into the caller's vector.
-// An empty PayloadView has no storage, so this must not touch data().
-void AssignBias(const PayloadView& view, std::vector<float>* bias) {
-  bias->clear();
-  if (view.size() > 0) {
-    bias->assign(view.data(), view.data() + view.size());
+// Allocates a zero-filled frame (so padding words need no explicit zeroing
+// and identical inputs serialize to identical bytes), writes the header
+// words and the bias trailer after `body` words of regions, and returns the
+// body for the encoder to fill.
+float* NewFrame(Payload* payload, std::initializer_list<int64_t> header, int64_t body,
+                const float* bias, int64_t bias_len) {
+  CHECK_GE(bias_len, 0);
+  const int64_t header_words = static_cast<int64_t>(header.size());
+  *payload = Payload::Allocate(header_words + body + bias_len);
+  float* words = payload->data();
+  for (int64_t value : header) {
+    StoreWord(words++, static_cast<uint32_t>(value));
+  }
+  if (bias_len > 0) {
+    CHECK_NOTNULL(bias);
+    std::copy(bias, bias + bias_len, words + body);
+  }
+  WireCopyStats::Add(body + bias_len);
+  return words;
+}
+
+// Streams a frame's bias trailer (possibly empty) after `dense` values.
+void ExpandBias(const PayloadView& bias, int64_t dense, const Codec::Sink& sink) {
+  if (bias.size() > 0) {
+    sink(dense, bias.data(), bias.size());
   }
 }
 
@@ -104,31 +151,61 @@ uint32_t QuantSeed(int layer_index, int64_t clock) {
   return static_cast<uint32_t>(rng.Next());
 }
 
+// --------------------------------------------------------------------- codec
+
+int64_t Codec::Shape::dense() const {
+  int64_t count = 1;
+  for (int64_t dim : dims) {
+    count *= dim;
+  }
+  return count;
+}
+
+StatusOr<int64_t> Codec::Validate(const PayloadView& frame) const {
+  StatusOr<Shape> shape = Inspect(frame);
+  if (!shape.ok()) {
+    return shape.status();
+  }
+  return shape->dense();
+}
+
+Status Codec::Decode(const PayloadView& frame, Tensor* dense,
+                     std::vector<float>* bias) const {
+  CHECK_NOTNULL(dense);
+  StatusOr<Shape> shape = Inspect(frame);
+  if (!shape.ok()) {
+    return shape.status();
+  }
+  const int64_t dense_len = shape->dense();
+  *dense = dense_len == 0 ? Tensor() : Tensor(shape->dims);
+  if (bias != nullptr) {
+    bias->assign(static_cast<size_t>(shape->bias_len), 0.0f);
+  }
+  return Expand(frame, [&](int64_t offset, const float* data, int64_t len) {
+    if (offset < dense_len) {
+      std::copy(data, data + len, dense->data() + offset);
+    } else if (bias != nullptr) {
+      std::copy(data, data + len, bias->data() + (offset - dense_len));
+    }
+  });
+}
+
 // ----------------------------------------------------------------- raw float
 
-StatusOr<int64_t> RawFloatCodec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> RawFloatCodec::Inspect(const PayloadView& frame) const {
   if (!frame.valid() && frame.size() != 0) {
     return InvalidArgumentError("raw_float frame is invalid");
   }
-  return frame.size();
+  return Shape{{frame.size()}, 0};
 }
 
-Status RawFloatCodec::Decode(const PayloadView& frame, Tensor* dense,
-                             std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<int64_t> floats = Validate(frame);
-  if (!floats.ok()) {
-    return floats.status();
+Status RawFloatCodec::Expand(const PayloadView& frame, const Sink& sink) const {
+  StatusOr<Shape> shape = Inspect(frame);
+  if (!shape.ok()) {
+    return shape.status();
   }
-  if (*floats == 0) {
-    *dense = Tensor();
-  } else {
-    *dense = Tensor({*floats});
-    std::copy(frame.data(), frame.data() + *floats, dense->data());
-    WireCopyStats::Add(*floats);
-  }
-  if (bias != nullptr) {
-    bias->clear();
+  if (frame.size() > 0) {
+    sink(0, frame.data(), frame.size());  // one piece, aliasing the slab
   }
   return Status::Ok();
 }
@@ -147,8 +224,6 @@ Payload RawFloatCodec::Encode(const float* src, int64_t floats) {
 // --------------------------------------------------------------------- 1-bit
 
 namespace {
-constexpr int64_t kOneBitHeaderWords = 3;
-
 int64_t OneBitSignWords(int64_t rows, int64_t cols) { return (rows * cols + 31) / 32; }
 }  // namespace
 
@@ -159,83 +234,53 @@ uint32_t OneBitCodec::Frame::word(int64_t i) const {
 }
 
 StatusOr<OneBitCodec::Frame> OneBitCodec::Parse(const PayloadView& frame) {
-  StatusOr<int64_t> rows = HeaderDim("onebit", frame, 0);
-  if (!rows.ok()) return rows.status();
-  StatusOr<int64_t> cols = HeaderDim("onebit", frame, 1);
-  if (!cols.ok()) return cols.status();
-  StatusOr<int64_t> bias_len = HeaderDim("onebit", frame, 2);
-  if (!bias_len.ok()) return bias_len.status();
-  // A tensor dimension of zero is never produced by an encoder; reject it
-  // so decode targets always have constructible shapes. The per-dimension
-  // bound in HeaderDim keeps rows * cols overflow-free.
-  if (*rows < 1) return BadDim("onebit", *rows);
-  if (*cols < 1) return BadDim("onebit", *cols);
-  const int64_t sign_words = OneBitSignWords(*rows, *cols);
-  const int64_t want = kOneBitHeaderWords + sign_words + 2 * *cols + *bias_len;
-  if (frame.size() != want) {
-    return want > frame.size() ? Truncated("onebit", want, frame.size())
-                               : InvalidArgumentError(
-                                     "onebit frame has " + std::to_string(frame.size()) +
-                                     " words, expected " + std::to_string(want));
-  }
+  const StatusOr<std::array<int64_t, 3>> header = ReadHeader<3>("onebit", frame);
+  if (!header.ok()) return header.status();
   Frame parsed;
-  parsed.rows = *rows;
-  parsed.cols = *cols;
-  parsed.bias_len = *bias_len;
-  int64_t cursor = kOneBitHeaderWords;
-  parsed.words = frame.Sub(cursor, sign_words);
-  cursor += sign_words;
-  parsed.positive_level = frame.Sub(cursor, *cols);
-  cursor += *cols;
-  parsed.negative_level = frame.Sub(cursor, *cols);
-  cursor += *cols;
-  parsed.bias = frame.Sub(cursor, *bias_len);
+  parsed.rows = (*header)[0];
+  parsed.cols = (*header)[1];
+  parsed.bias_len = (*header)[2];
+  // A tensor dimension of zero is never produced by an encoder; reject it
+  // so decode targets always have constructible shapes.
+  if (parsed.rows < 1) return BadDim("onebit", parsed.rows);
+  if (parsed.cols < 1) return BadDim("onebit", parsed.cols);
+  const Status sliced = SliceRegions(
+      "onebit", frame, 3,
+      {{OneBitSignWords(parsed.rows, parsed.cols), &parsed.words},
+       {parsed.cols, &parsed.positive_level},
+       {parsed.cols, &parsed.negative_level},
+       {parsed.bias_len, &parsed.bias}});
+  if (!sliced.ok()) return sliced;
   return parsed;
 }
 
-StatusOr<int64_t> OneBitCodec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> OneBitCodec::Inspect(const PayloadView& frame) const {
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->rows * parsed->cols;
+  return Shape{{parsed->rows, parsed->cols}, parsed->bias_len};
 }
 
-Status OneBitCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+Status OneBitCodec::Expand(const PayloadView& frame, const Sink& sink) const {
   TraceSpan span("codec.decode.onebit", "codec");
-  CHECK_NOTNULL(out);
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
   const Frame& f = *parsed;
-  // Stage the packed sign words out of the slab once (compressed size, 1/32
-  // of dense), then reconstruct exactly as OneBitQuantizer::Decode does.
+  // The weight expands whole: a row range's sign bits need not start on a
+  // word boundary. Stage the packed sign words out of the slab once
+  // (compressed size, 1/32 of dense), then reconstruct exactly as
+  // OneBitQuantizer::Decode does.
   std::vector<uint32_t> bits(static_cast<size_t>(f.words.size()));
-  if (!bits.empty()) {
-    std::memcpy(bits.data(), f.words.data(), bits.size() * sizeof(uint32_t));
-    WireCopyStats::Add(f.words.size());
-  }
-  *out = Tensor({f.rows, f.cols});
-  simd::OneBitDecode(bits.data(), f.positive_level.data(), f.negative_level.data(),
-                     f.rows, f.cols, out->data());
-  return Status::Ok();
-}
-
-Status OneBitCodec::Decode(const PayloadView& frame, Tensor* dense,
-                           std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
+  std::memcpy(bits.data(), f.words.data(), bits.size() * sizeof(uint32_t));
+  WireCopyStats::Add(f.words.size());
+  std::vector<float> weight(static_cast<size_t>(f.rows * f.cols));
+  simd::OneBitDecode(bits.data(), f.positive_level.data(), f.negative_level.data(), f.rows,
+                     f.cols, weight.data());
+  sink(0, weight.data(), f.rows * f.cols);
+  ExpandBias(f.bias, f.rows * f.cols, sink);
   return Status::Ok();
 }
 
@@ -243,85 +288,61 @@ Payload OneBitCodec::Encode(const Tensor& gradient, OneBitQuantizer* quantizer,
                             const float* bias, int64_t bias_len) {
   TraceSpan span("codec.encode.onebit", "codec");
   CHECK_NOTNULL(quantizer);
-  CHECK_GE(bias_len, 0);
   const OneBitEncoded encoded = quantizer->Encode(gradient);
   const int64_t sign_words = static_cast<int64_t>(encoded.bits.size());
   CHECK_EQ(sign_words, OneBitSignWords(encoded.rows, encoded.cols));
-  const int64_t total =
-      kOneBitHeaderWords + sign_words + 2 * encoded.cols + bias_len;
-  Payload payload = Payload::Allocate(total);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(encoded.rows));
-  StoreWord(words + 1, static_cast<uint32_t>(encoded.cols));
-  StoreWord(words + 2, static_cast<uint32_t>(bias_len));
-  int64_t cursor = kOneBitHeaderWords;
+  Payload payload;
+  float* words = NewFrame(&payload, {encoded.rows, encoded.cols, bias_len},
+                          sign_words + 2 * encoded.cols, bias, bias_len);
   if (sign_words > 0) {
-    std::memcpy(words + cursor, encoded.bits.data(),
-                static_cast<size_t>(sign_words) * sizeof(uint32_t));
+    std::memcpy(words, encoded.bits.data(), static_cast<size_t>(sign_words) * sizeof(uint32_t));
   }
-  cursor += sign_words;
-  std::copy(encoded.positive_level.begin(), encoded.positive_level.end(), words + cursor);
-  cursor += encoded.cols;
-  std::copy(encoded.negative_level.begin(), encoded.negative_level.end(), words + cursor);
-  cursor += encoded.cols;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add(sign_words + 2 * encoded.cols + bias_len);
+  words += sign_words;
+  std::copy(encoded.positive_level.begin(), encoded.positive_level.end(), words);
+  std::copy(encoded.negative_level.begin(), encoded.negative_level.end(),
+            words + encoded.cols);
   return payload;
 }
 
 // --------------------------------------------------------- sufficient factor
 
-namespace {
-constexpr int64_t kSfHeaderWords = 4;
-}  // namespace
-
 StatusOr<SufficientFactorCodec::Frame> SufficientFactorCodec::Parse(
     const PayloadView& frame) {
-  StatusOr<int64_t> m = HeaderDim("sufficient_factor", frame, 0);
-  if (!m.ok()) return m.status();
-  StatusOr<int64_t> n = HeaderDim("sufficient_factor", frame, 1);
-  if (!n.ok()) return n.status();
-  StatusOr<int64_t> k = HeaderDim("sufficient_factor", frame, 2);
-  if (!k.ok()) return k.status();
-  StatusOr<int64_t> bias_len = HeaderDim("sufficient_factor", frame, 3);
-  if (!bias_len.ok()) return bias_len.status();
-  if (*m < 1) return BadDim("sufficient_factor", *m);
-  if (*n < 1) return BadDim("sufficient_factor", *n);
-  if (*k < 1) return BadDim("sufficient_factor", *k);
-  StatusOr<int64_t> factors = CheckedMul("sufficient_factor", *m + *n, *k);
-  if (!factors.ok()) return factors.status();
-  const int64_t want = kSfHeaderWords + *factors + *bias_len;
-  if (frame.size() != want) {
-    return want > frame.size()
-               ? Truncated("sufficient_factor", want, frame.size())
-               : InvalidArgumentError("sufficient_factor frame has " +
-                                      std::to_string(frame.size()) + " words, expected " +
-                                      std::to_string(want));
-  }
+  const StatusOr<std::array<int64_t, 4>> header =
+      ReadHeader<4>("sufficient_factor", frame);
+  if (!header.ok()) return header.status();
   Frame parsed;
-  parsed.m = *m;
-  parsed.n = *n;
-  parsed.k = *k;
-  parsed.bias_len = *bias_len;
-  int64_t cursor = kSfHeaderWords;
-  parsed.u = frame.Sub(cursor, *m * *k);
-  cursor += *m * *k;
-  parsed.v = frame.Sub(cursor, *n * *k);
-  cursor += *n * *k;
-  parsed.bias = frame.Sub(cursor, *bias_len);
+  parsed.m = (*header)[0];
+  parsed.n = (*header)[1];
+  parsed.k = (*header)[2];
+  parsed.bias_len = (*header)[3];
+  if (parsed.m < 1) return BadDim("sufficient_factor", parsed.m);
+  if (parsed.n < 1) return BadDim("sufficient_factor", parsed.n);
+  if (parsed.k < 1) return BadDim("sufficient_factor", parsed.k);
+  const Status sliced =
+      SliceRegions("sufficient_factor", frame, 4,
+                   {{parsed.m * parsed.k, &parsed.u},
+                    {parsed.n * parsed.k, &parsed.v},
+                    {parsed.bias_len, &parsed.bias}});
+  if (!sliced.ok()) return sliced;
   return parsed;
 }
 
-StatusOr<int64_t> SufficientFactorCodec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> SufficientFactorCodec::Inspect(const PayloadView& frame) const {
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->m * parsed->n;
+  return Shape{{parsed->m, parsed->n}, parsed->bias_len};
 }
+
+namespace {
+// U V^T on the GemmTransB kernel, reading straight from the slab: bitwise
+// identical to ReconstructGradient on unserialized factors.
+void Reconstruct(const SufficientFactorCodec::Frame& f, float* out) {
+  simd::GemmTransB(f.u.data(), f.v.data(), out, f.m, f.k, f.n);
+}
+}  // namespace
 
 Status SufficientFactorCodec::DecodeReconstruct(const PayloadView& frame, Tensor* out) {
   TraceSpan span("codec.decode.sf", "codec");
@@ -336,63 +357,41 @@ Status SufficientFactorCodec::DecodeReconstruct(const PayloadView& frame, Tensor
                                 out->ShapeString() + ", frame is " + std::to_string(f.m) +
                                 "x" + std::to_string(f.n));
   }
-  // U V^T on the GemmTransB kernel, reading straight from the slab: bitwise
-  // identical to ReconstructGradient on unserialized factors.
-  simd::GemmTransB(f.u.size() > 0 ? f.u.data() : nullptr,
-                   f.v.size() > 0 ? f.v.data() : nullptr, out->data(), f.m, f.k, f.n);
+  Reconstruct(f, out->data());
   return Status::Ok();
 }
 
-Status SufficientFactorCodec::Decode(const PayloadView& frame, Tensor* dense,
-                                     std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
+Status SufficientFactorCodec::Expand(const PayloadView& frame, const Sink& sink) const {
+  TraceSpan span("codec.decode.sf", "codec");
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  *dense = Tensor({parsed->m, parsed->n});
-  const Status status = DecodeReconstruct(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
+  const Frame& f = *parsed;
+  // The weight expands whole: the GEMM writes the whole product.
+  std::vector<float> weight(static_cast<size_t>(f.m * f.n));
+  Reconstruct(f, weight.data());
+  sink(0, weight.data(), f.m * f.n);
+  ExpandBias(f.bias, f.m * f.n, sink);
   return Status::Ok();
 }
 
 Payload SufficientFactorCodec::Encode(const SufficientFactors& factors, const float* bias,
                                       int64_t bias_len) {
   TraceSpan span("codec.encode.sf", "codec");
-  CHECK_GE(bias_len, 0);
   const int64_t m = factors.rows();
   const int64_t n = factors.cols();
   const int64_t k = factors.rank();
-  const int64_t total = kSfHeaderWords + (m + n) * k + bias_len;
-  Payload payload = Payload::Allocate(total);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(m));
-  StoreWord(words + 1, static_cast<uint32_t>(n));
-  StoreWord(words + 2, static_cast<uint32_t>(k));
-  StoreWord(words + 3, static_cast<uint32_t>(bias_len));
-  int64_t cursor = kSfHeaderWords;
-  std::copy(factors.u.data(), factors.u.data() + m * k, words + cursor);
-  cursor += m * k;
-  std::copy(factors.v.data(), factors.v.data() + n * k, words + cursor);
-  cursor += n * k;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add((m + n) * k + bias_len);
+  Payload payload;
+  float* words = NewFrame(&payload, {m, n, k, bias_len}, (m + n) * k, bias, bias_len);
+  std::copy(factors.u.data(), factors.u.data() + m * k, words);
+  std::copy(factors.v.data(), factors.v.data() + n * k, words + m * k);
   return payload;
 }
 
 // ---------------------------------------------------------------------- fp16
 
 namespace {
-constexpr int64_t kFp16HeaderWords = 2;
-
 int64_t Fp16HalfWords(int64_t n) { return (n + 1) / 2; }
 
 // residual = quant - decode(frame), computed as quant + (-approx): Scale by
@@ -402,6 +401,27 @@ int64_t Fp16HalfWords(int64_t n) { return (n + 1) / 2; }
 void FinishResidual(const float* quant, int64_t n, float* residual) {
   simd::Scale(residual, -1.0f, n);
   simd::ReduceAdd(residual, quant, n);
+}
+
+// Encodes n floats window by window into a fresh fp16 frame: `pack` fills
+// one window of halves from (src + off, len, off), which is copied straight
+// into the frame's halves region.
+template <typename Pack>
+Payload Fp16Frame(const float* src, int64_t n, const float* bias, int64_t bias_len,
+                  Pack&& pack) {
+  CHECK_NOTNULL(src);
+  CHECK_GT(n, 0);
+  Payload payload;
+  char* halves = reinterpret_cast<char*>(
+      NewFrame(&payload, {n, bias_len}, Fp16HalfWords(n), bias, bias_len));
+  std::array<uint16_t, kWindow> window;
+  for (int64_t off = 0; off < n; off += kWindow) {
+    const int64_t len = std::min(kWindow, n - off);
+    pack(src + off, len, off, window.data());
+    std::memcpy(halves + off * sizeof(uint16_t), window.data(),
+                static_cast<size_t>(len) * sizeof(uint16_t));
+  }
+  return payload;
 }
 }  // namespace
 
@@ -413,208 +433,129 @@ uint16_t Fp16Codec::Frame::half(int64_t i) const {
 }
 
 StatusOr<Fp16Codec::Frame> Fp16Codec::Parse(const PayloadView& frame) {
-  StatusOr<int64_t> n = HeaderDim("fp16", frame, 0);
-  if (!n.ok()) return n.status();
-  StatusOr<int64_t> bias_len = HeaderDim("fp16", frame, 1);
-  if (!bias_len.ok()) return bias_len.status();
-  if (*n < 1) return BadDim("fp16", *n);
-  const int64_t half_words = Fp16HalfWords(*n);
-  const int64_t want = kFp16HeaderWords + half_words + *bias_len;
-  if (frame.size() != want) {
-    return want > frame.size()
-               ? Truncated("fp16", want, frame.size())
-               : InvalidArgumentError("fp16 frame has " + std::to_string(frame.size()) +
-                                      " words, expected " + std::to_string(want));
-  }
+  const StatusOr<std::array<int64_t, 2>> header = ReadHeader<2>("fp16", frame);
+  if (!header.ok()) return header.status();
   Frame parsed;
-  parsed.n = *n;
-  parsed.bias_len = *bias_len;
-  int64_t cursor = kFp16HeaderWords;
-  parsed.halves = frame.Sub(cursor, half_words);
-  cursor += half_words;
-  parsed.bias = frame.Sub(cursor, *bias_len);
+  parsed.n = (*header)[0];
+  parsed.bias_len = (*header)[1];
+  if (parsed.n < 1) return BadDim("fp16", parsed.n);
+  const Status sliced = SliceRegions(
+      "fp16", frame, 2,
+      {{Fp16HalfWords(parsed.n), &parsed.halves}, {parsed.bias_len, &parsed.bias}});
+  if (!sliced.ok()) return sliced;
   return parsed;
 }
 
-StatusOr<int64_t> Fp16Codec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> Fp16Codec::Inspect(const PayloadView& frame) const {
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return Shape{{parsed->n}, parsed->bias_len};
 }
 
-Status Fp16Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+Status Fp16Codec::Expand(const PayloadView& frame, const Sink& sink) const {
   TraceSpan span("codec.decode.fp16", "codec");
-  CHECK_NOTNULL(out);
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
   const Frame& f = *parsed;
-  // Stage the packed halves out of the slab once (compressed size, half of
-  // dense), then unpack with the exact formula.
-  std::vector<uint16_t> halves(static_cast<size_t>(f.n));
-  std::memcpy(halves.data(), f.halves.data(), static_cast<size_t>(f.n) * sizeof(uint16_t));
+  // Copy one window of packed halves out of the slab at a time, then unpack
+  // it with the exact formula.
+  const char* halves = reinterpret_cast<const char*>(f.halves.data());
+  std::array<uint16_t, kWindow> packed;
+  std::array<float, kWindow> values;
+  for (int64_t off = 0; off < f.n; off += kWindow) {
+    const int64_t len = std::min(kWindow, f.n - off);
+    std::memcpy(packed.data(), halves + off * sizeof(uint16_t),
+                static_cast<size_t>(len) * sizeof(uint16_t));
+    simd::Fp16Decode(packed.data(), len, values.data());
+    sink(off, values.data(), len);
+  }
   WireCopyStats::Add(f.halves.size());
-  *out = Tensor({f.n});
-  simd::Fp16Decode(halves.data(), f.n, out->data());
+  ExpandBias(f.bias, f.n, sink);
   return Status::Ok();
 }
-
-Status Fp16Codec::Decode(const PayloadView& frame, Tensor* dense,
-                         std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-// Serializes already-packed halves plus the bias trailer into one frame.
-Payload Fp16Assemble(const std::vector<uint16_t>& halves, int64_t n, const float* bias,
-                     int64_t bias_len) {
-  const int64_t half_words = Fp16HalfWords(n);
-  Payload payload = Payload::Allocate(kFp16HeaderWords + half_words + bias_len);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(n));
-  StoreWord(words + 1, static_cast<uint32_t>(bias_len));
-  int64_t cursor = kFp16HeaderWords;
-  if (n & 1) {
-    // Zero the padding half in the last word so identical inputs always
-    // serialize to identical bytes (the conformance suite memcmps frames).
-    StoreWord(words + cursor + half_words - 1, 0);
-  }
-  std::memcpy(words + cursor, halves.data(), static_cast<size_t>(n) * sizeof(uint16_t));
-  cursor += half_words;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add(half_words + bias_len);
-  return payload;
-}
-
-}  // namespace
 
 Payload Fp16Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
                             int64_t base_index, float* residual, const float* bias,
                             int64_t bias_len) {
   TraceSpan span("codec.encode.fp16", "codec", n);
-  CHECK_NOTNULL(quant);
-  CHECK_GT(n, 0);
-  CHECK_GE(bias_len, 0);
-  std::vector<uint16_t> halves(static_cast<size_t>(n));
-  simd::Fp16EncodeSr(quant, n, seed, base_index, halves.data());
-  if (residual != nullptr) {
-    simd::Fp16Decode(halves.data(), n, residual);
-    FinishResidual(quant, n, residual);
-  }
-  return Fp16Assemble(halves, n, bias, bias_len);
+  return Fp16Frame(quant, n, bias, bias_len,
+                   [&](const float* src, int64_t len, int64_t off, uint16_t* halves) {
+                     simd::Fp16EncodeSr(src, len, seed, base_index + off, halves);
+                     if (residual != nullptr) {
+                       simd::Fp16Decode(halves, len, residual + off);
+                       FinishResidual(src, len, residual + off);
+                     }
+                   });
 }
 
 Payload Fp16Codec::EncodeRn(const float* src, int64_t n, const float* bias,
                             int64_t bias_len) {
   TraceSpan span("codec.encode.fp16", "codec", n);
-  CHECK_NOTNULL(src);
-  CHECK_GT(n, 0);
-  CHECK_GE(bias_len, 0);
-  std::vector<uint16_t> halves(static_cast<size_t>(n));
-  simd::Fp16EncodeRn(src, n, halves.data());
-  return Fp16Assemble(halves, n, bias, bias_len);
+  return Fp16Frame(src, n, bias, bias_len,
+                   [](const float* in, int64_t len, int64_t, uint16_t* halves) {
+                     simd::Fp16EncodeRn(in, len, halves);
+                   });
 }
 
 // ---------------------------------------------------------------------- int8
 
 namespace {
-constexpr int64_t kInt8HeaderWords = 2;
-
 int64_t Int8Chunks(int64_t n) { return (n + simd::kInt8ChunkSize - 1) / simd::kInt8ChunkSize; }
 
 int64_t Int8PackedWords(int64_t n) { return (n + 3) / 4; }
 }  // namespace
 
 StatusOr<Int8Codec::Frame> Int8Codec::Parse(const PayloadView& frame) {
-  StatusOr<int64_t> n = HeaderDim("int8", frame, 0);
-  if (!n.ok()) return n.status();
-  StatusOr<int64_t> bias_len = HeaderDim("int8", frame, 1);
-  if (!bias_len.ok()) return bias_len.status();
-  if (*n < 1) return BadDim("int8", *n);
-  const int64_t chunks = Int8Chunks(*n);
-  const int64_t packed_words = Int8PackedWords(*n);
-  const int64_t want = kInt8HeaderWords + chunks + packed_words + *bias_len;
-  if (frame.size() != want) {
-    return want > frame.size()
-               ? Truncated("int8", want, frame.size())
-               : InvalidArgumentError("int8 frame has " + std::to_string(frame.size()) +
-                                      " words, expected " + std::to_string(want));
-  }
+  const StatusOr<std::array<int64_t, 2>> header = ReadHeader<2>("int8", frame);
+  if (!header.ok()) return header.status();
   Frame parsed;
-  parsed.n = *n;
-  parsed.bias_len = *bias_len;
-  int64_t cursor = kInt8HeaderWords;
-  parsed.scales = frame.Sub(cursor, chunks);
-  cursor += chunks;
-  parsed.packed = frame.Sub(cursor, packed_words);
-  cursor += packed_words;
-  parsed.bias = frame.Sub(cursor, *bias_len);
+  parsed.n = (*header)[0];
+  parsed.bias_len = (*header)[1];
+  if (parsed.n < 1) return BadDim("int8", parsed.n);
+  const Status sliced = SliceRegions("int8", frame, 2,
+                                     {{Int8Chunks(parsed.n), &parsed.scales},
+                                      {Int8PackedWords(parsed.n), &parsed.packed},
+                                      {parsed.bias_len, &parsed.bias}});
+  if (!sliced.ok()) return sliced;
   return parsed;
 }
 
-StatusOr<int64_t> Int8Codec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> Int8Codec::Inspect(const PayloadView& frame) const {
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return Shape{{parsed->n}, parsed->bias_len};
 }
 
-Status Int8Codec::DecodeDense(const PayloadView& frame, Tensor* out) {
+Status Int8Codec::Expand(const PayloadView& frame, const Sink& sink) const {
   TraceSpan span("codec.decode.int8", "codec");
-  CHECK_NOTNULL(out);
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
   const Frame& f = *parsed;
-  // Stage the packed bytes out of the slab once (compressed size, a quarter
-  // of dense), then dequantize chunk by chunk with that chunk's scale.
-  std::vector<int8_t> packed(static_cast<size_t>(f.n));
-  std::memcpy(packed.data(), f.packed.data(), static_cast<size_t>(f.n));
+  // Copy one window of packed bytes out of the slab at a time, then
+  // dequantize it chunk by chunk with that chunk's scale.
+  const char* bytes = reinterpret_cast<const char*>(f.packed.data());
+  const float* scales = f.scales.data();
+  std::array<int8_t, kWindow> packed;
+  std::array<float, kWindow> values;
+  for (int64_t off = 0; off < f.n; off += kWindow) {
+    const int64_t len = std::min(kWindow, f.n - off);
+    std::memcpy(packed.data(), bytes + off, static_cast<size_t>(len));
+    for (int64_t c = 0; c < len; c += simd::kInt8ChunkSize) {
+      simd::Int8Decode(packed.data() + c, std::min(simd::kInt8ChunkSize, len - c),
+                       scales[(off + c) / simd::kInt8ChunkSize], values.data() + c);
+    }
+    sink(off, values.data(), len);
+  }
   WireCopyStats::Add(f.scales.size() + f.packed.size());
-  *out = Tensor({f.n});
-  for (int64_t off = 0, chunk = 0; off < f.n; off += simd::kInt8ChunkSize, ++chunk) {
-    const int64_t len = std::min(simd::kInt8ChunkSize, f.n - off);
-    simd::Int8Decode(packed.data() + off, len, f.scales.data()[chunk],
-                     out->data() + off);
-  }
-  return Status::Ok();
-}
-
-Status Int8Codec::Decode(const PayloadView& frame, Tensor* dense,
-                         std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
+  ExpandBias(f.bias, f.n, sink);
   return Status::Ok();
 }
 
@@ -624,59 +565,43 @@ Payload Int8Codec::EncodeSr(const float* quant, int64_t n, uint32_t seed,
   TraceSpan span("codec.encode.int8", "codec", n);
   CHECK_NOTNULL(quant);
   CHECK_GT(n, 0);
-  CHECK_GE(bias_len, 0);
   const int64_t chunks = Int8Chunks(n);
-  const int64_t packed_words = Int8PackedWords(n);
-  std::vector<float> scales(static_cast<size_t>(chunks));
-  std::vector<int8_t> packed(static_cast<size_t>(n));
-  for (int64_t off = 0, chunk = 0; off < n; off += simd::kInt8ChunkSize, ++chunk) {
-    const int64_t len = std::min(simd::kInt8ChunkSize, n - off);
-    const float max_abs = simd::MaxAbs(quant + off, len);
-    // Good-guard: a chunk whose magnitude is zero or non-finite cannot be
-    // scaled meaningfully; send scale 0 (decodes to exact zeros) and let the
-    // residual carry the content forward.
-    float scale = 0.0f;
-    float inv_scale = 0.0f;
-    if (max_abs > 0.0f && std::isfinite(max_abs)) {
-      scale = max_abs / 127.0f;
-      inv_scale = 1.0f / scale;
+  Payload payload;
+  float* scales =
+      NewFrame(&payload, {n, bias_len}, chunks + Int8PackedWords(n), bias, bias_len);
+  char* bytes = reinterpret_cast<char*>(scales + chunks);
+  std::array<int8_t, kWindow> packed;
+  for (int64_t off = 0; off < n; off += kWindow) {
+    const int64_t len = std::min(kWindow, n - off);
+    for (int64_t c = 0; c < len; c += simd::kInt8ChunkSize) {
+      const int64_t at = off + c;
+      const int64_t chunk_len = std::min(simd::kInt8ChunkSize, len - c);
+      const float max_abs = simd::MaxAbs(quant + at, chunk_len);
+      // Good-guard: a chunk whose magnitude is zero or non-finite cannot be
+      // scaled meaningfully; send scale 0 (decodes to exact zeros) and let
+      // the residual carry the content forward.
+      float scale = 0.0f;
+      float inv_scale = 0.0f;
+      if (max_abs > 0.0f && std::isfinite(max_abs)) {
+        scale = max_abs / 127.0f;
+        inv_scale = 1.0f / scale;
+      }
+      scales[at / simd::kInt8ChunkSize] = scale;
+      simd::Int8EncodeSr(quant + at, chunk_len, inv_scale, seed, base_index + at,
+                         packed.data() + c);
+      if (residual != nullptr) {
+        simd::Int8Decode(packed.data() + c, chunk_len, scale, residual + at);
+      }
     }
-    scales[static_cast<size_t>(chunk)] = scale;
-    simd::Int8EncodeSr(quant + off, len, inv_scale, seed, base_index + off,
-                       packed.data() + off);
+    std::memcpy(bytes + off, packed.data(), static_cast<size_t>(len));
     if (residual != nullptr) {
-      simd::Int8Decode(packed.data() + off, len, scale, residual + off);
+      FinishResidual(quant + off, len, residual + off);
     }
   }
-  if (residual != nullptr) {
-    FinishResidual(quant, n, residual);
-  }
-  Payload payload = Payload::Allocate(kInt8HeaderWords + chunks + packed_words + bias_len);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(n));
-  StoreWord(words + 1, static_cast<uint32_t>(bias_len));
-  int64_t cursor = kInt8HeaderWords;
-  std::copy(scales.begin(), scales.end(), words + cursor);
-  cursor += chunks;
-  if (n & 3) {
-    // Zero the padding bytes in the last word for byte-identical frames.
-    StoreWord(words + cursor + packed_words - 1, 0);
-  }
-  std::memcpy(words + cursor, packed.data(), static_cast<size_t>(n));
-  cursor += packed_words;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add(chunks + packed_words + bias_len);
   return payload;
 }
 
 // --------------------------------------------------------------------- top-k
-
-namespace {
-constexpr int64_t kTopKHeaderWords = 3;
-}  // namespace
 
 int64_t TopKCodec::Frame::index(int64_t i) const {
   CHECK_GE(i, 0);
@@ -685,40 +610,25 @@ int64_t TopKCodec::Frame::index(int64_t i) const {
 }
 
 StatusOr<TopKCodec::Frame> TopKCodec::Parse(const PayloadView& frame) {
-  StatusOr<int64_t> n = HeaderDim("topk", frame, 0);
-  if (!n.ok()) return n.status();
-  StatusOr<int64_t> k = HeaderDim("topk", frame, 1);
-  if (!k.ok()) return k.status();
-  StatusOr<int64_t> bias_len = HeaderDim("topk", frame, 2);
-  if (!bias_len.ok()) return bias_len.status();
-  if (*n < 1) return BadDim("topk", *n);
-  if (*k < 1 || *k > *n) return BadDim("topk", *k);
-  StatusOr<int64_t> pairs = CheckedMul("topk", 2, *k);
-  if (!pairs.ok()) return pairs.status();
-  const int64_t want = kTopKHeaderWords + *pairs + *bias_len;
-  if (frame.size() != want) {
-    return want > frame.size()
-               ? Truncated("topk", want, frame.size())
-               : InvalidArgumentError("topk frame has " + std::to_string(frame.size()) +
-                                      " words, expected " + std::to_string(want));
-  }
+  const StatusOr<std::array<int64_t, 3>> header = ReadHeader<3>("topk", frame);
+  if (!header.ok()) return header.status();
   Frame parsed;
-  parsed.n = *n;
-  parsed.k = *k;
-  parsed.bias_len = *bias_len;
-  int64_t cursor = kTopKHeaderWords;
-  parsed.indices = frame.Sub(cursor, *k);
-  cursor += *k;
-  parsed.values = frame.Sub(cursor, *k);
-  cursor += *k;
-  parsed.bias = frame.Sub(cursor, *bias_len);
+  parsed.n = (*header)[0];
+  parsed.k = (*header)[1];
+  parsed.bias_len = (*header)[2];
+  if (parsed.n < 1) return BadDim("topk", parsed.n);
+  if (parsed.k < 1 || parsed.k > parsed.n) return BadDim("topk", parsed.k);
+  const Status sliced = SliceRegions(
+      "topk", frame, 3,
+      {{parsed.k, &parsed.indices}, {parsed.k, &parsed.values}, {parsed.bias_len, &parsed.bias}});
+  if (!sliced.ok()) return sliced;
   // Indices must be strictly increasing and in-range: that proves no
-  // duplicates and makes the scatter in DecodeDense memory-safe. O(k), paid
+  // duplicates and makes Expand's window scatter memory-safe. O(k), paid
   // once per frame on the wire-input path.
   int64_t previous = -1;
-  for (int64_t i = 0; i < *k; ++i) {
-    const int64_t idx = static_cast<int64_t>(LoadWord(parsed.indices.data() + i));
-    if (idx <= previous || idx >= *n) {
+  for (int64_t i = 0; i < parsed.k; ++i) {
+    const int64_t idx = parsed.index(i);
+    if (idx <= previous || idx >= parsed.n) {
       return InvalidArgumentError("topk frame index " + std::to_string(idx) +
                                   " at position " + std::to_string(i) +
                                   " is out of order or out of range");
@@ -728,47 +638,36 @@ StatusOr<TopKCodec::Frame> TopKCodec::Parse(const PayloadView& frame) {
   return parsed;
 }
 
-StatusOr<int64_t> TopKCodec::Validate(const PayloadView& frame) const {
+StatusOr<Codec::Shape> TopKCodec::Inspect(const PayloadView& frame) const {
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
-  return parsed->n;
+  return Shape{{parsed->n}, parsed->bias_len};
 }
 
-Status TopKCodec::DecodeDense(const PayloadView& frame, Tensor* out) {
+Status TopKCodec::Expand(const PayloadView& frame, const Sink& sink) const {
   TraceSpan span("codec.decode.topk", "codec");
-  CHECK_NOTNULL(out);
   StatusOr<Frame> parsed = Parse(frame);
   if (!parsed.ok()) {
     return parsed.status();
   }
   const Frame& f = *parsed;
-  *out = Tensor({f.n});
-  std::fill(out->data(), out->data() + f.n, 0.0f);
-  float* od = out->data();
-  const float* values = f.values.data();
-  for (int64_t i = 0; i < f.k; ++i) {
-    od[static_cast<int64_t>(LoadWord(f.indices.data() + i))] = values[i];
+  // Scatter the (index, value) pairs one zeroed window at a time; the
+  // indices ascend, so one cursor walks them across the windows.
+  const float* selected = f.values.data();
+  std::array<float, kWindow> values;
+  int64_t i = 0;
+  for (int64_t off = 0; off < f.n; off += kWindow) {
+    const int64_t len = std::min(kWindow, f.n - off);
+    std::fill(values.begin(), values.begin() + len, 0.0f);
+    for (; i < f.k && f.index(i) < off + len; ++i) {
+      values[static_cast<size_t>(f.index(i) - off)] = selected[i];
+    }
+    sink(off, values.data(), len);
   }
   WireCopyStats::Add(2 * f.k);
-  return Status::Ok();
-}
-
-Status TopKCodec::Decode(const PayloadView& frame, Tensor* dense,
-                         std::vector<float>* bias) const {
-  CHECK_NOTNULL(dense);
-  StatusOr<Frame> parsed = Parse(frame);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const Status status = DecodeDense(frame, dense);
-  if (!status.ok()) {
-    return status;
-  }
-  if (bias != nullptr) {
-    AssignBias(parsed->bias, bias);
-  }
+  ExpandBias(f.bias, f.n, sink);
   return Status::Ok();
 }
 
@@ -779,7 +678,6 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
   CHECK_GT(n, 0);
   CHECK_GE(k, 1);
   CHECK_LE(k, n);
-  CHECK_GE(bias_len, 0);
   // Deterministic selection: the threshold is the k-th largest magnitude
   // (NaNs rank as zero so the order is total), elements strictly above it
   // are always in, and ties at the threshold fill the remaining slots in
@@ -794,12 +692,8 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
                    [](float a, float b) { return a > b; });
   const float threshold = mags[static_cast<size_t>(k - 1)];
   int64_t ties_left = k - simd::CountAbsGreater(quant, n, threshold);
-  Payload payload = Payload::Allocate(kTopKHeaderWords + 2 * k + bias_len);
-  float* words = payload.data();
-  StoreWord(words + 0, static_cast<uint32_t>(n));
-  StoreWord(words + 1, static_cast<uint32_t>(k));
-  StoreWord(words + 2, static_cast<uint32_t>(bias_len));
-  float* indices = words + kTopKHeaderWords;
+  Payload payload;
+  float* indices = NewFrame(&payload, {n, k, bias_len}, 2 * k, bias, bias_len);
   float* values = indices + k;
   if (residual != nullptr) {
     std::copy(quant, quant + n, residual);
@@ -823,12 +717,6 @@ Payload TopKCodec::Encode(const float* quant, int64_t n, int64_t k, float* resid
     }
   }
   CHECK_EQ(taken, k);
-  int64_t cursor = kTopKHeaderWords + 2 * k;
-  if (bias_len > 0) {
-    CHECK_NOTNULL(bias);
-    std::copy(bias, bias + bias_len, words + cursor);
-  }
-  WireCopyStats::Add(2 * k + bias_len);
   return payload;
 }
 

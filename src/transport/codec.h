@@ -27,15 +27,21 @@
 ///                       [indices: k, uint32, strictly increasing, < n]
 ///                       [values: k][bias: bias_len]
 ///
-/// Decoding validates framing and returns Status on truncated or corrupt
-/// buffers — a malformed frame must never crash the server. Decode
-/// arithmetic is bitwise identical to the historical in-line paths
-/// (OneBitQuantizer::Decode, ReconstructGradient), which the s=0 BSP
-/// trajectory tests rely on.
+/// Every frame expands through one entry point, Codec::Expand: it validates
+/// the frame (Codec::Inspect, which returns Status on truncated or corrupt
+/// input, so a malformed frame never crashes a server) and streams the dense
+/// values, then the bias trailer, to a caller's sink. fp16, int8 and top-k
+/// stage at most a fixed 1024-element window on the stack per piece, in both
+/// directions, so neither decode nor encode holds a frame-sized buffer; a raw
+/// frame is one piece aliasing the slab, and 1-bit and sufficient factors
+/// expand their weight whole. Decode arithmetic is bitwise
+/// identical to the historical in-line paths (OneBitQuantizer::Decode,
+/// ReconstructGradient), which the s=0 BSP trajectory tests rely on.
 #ifndef POSEIDON_SRC_TRANSPORT_CODEC_H_
 #define POSEIDON_SRC_TRANSPORT_CODEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/status.h"
@@ -71,21 +77,50 @@ uint32_t QuantSeed(int layer_index, int64_t clock);
 /// uniform wire-safety API every receiver and the property tests use.
 class Codec {
  public:
+  /// What a valid frame expands to: a dense gradient of shape `dims` (1-D
+  /// for raw, fp16, int8 and top-k; [rows, cols] for 1-bit and sufficient
+  /// factors), then `bias_len` bias floats.
+  struct Shape {
+    std::vector<int64_t> dims;
+    int64_t bias_len = 0;
+
+    /// The dense float count: the product of `dims`.
+    int64_t dense() const;
+    bool operator==(const Shape& other) const {
+      return dims == other.dims && bias_len == other.bias_len;
+    }
+  };
+
+  /// Receives one expanded piece: `len` floats at `data` that belong at
+  /// float `offset` of the frame's expansion (dense values first, the bias
+  /// trailer from offset Shape::dense()). `data` is valid only during the
+  /// call.
+  using Sink = std::function<void(int64_t offset, const float* data, int64_t len)>;
+
   virtual ~Codec() = default;
 
   virtual WireCodec id() const = 0;
   virtual const char* name() const = 0;
 
-  /// Validates framing without decoding. Returns the dense float count the
-  /// frame expands to (excluding any bias trailer), or InvalidArgument /
-  /// OutOfRange on malformed or truncated input.
-  virtual StatusOr<int64_t> Validate(const PayloadView& frame) const = 0;
+  /// Validates framing without decoding: the frame's shape, or
+  /// InvalidArgument / OutOfRange on malformed or truncated input.
+  virtual StatusOr<Shape> Inspect(const PayloadView& frame) const = 0;
+
+  /// Validates the frame, then streams its expansion to `sink` in ascending
+  /// offset order: the dense values from offset 0, then the bias trailer
+  /// from offset Shape::dense(). No piece straddles the two. On a malformed
+  /// frame returns its Status before calling `sink`.
+  virtual Status Expand(const PayloadView& frame, const Sink& sink) const = 0;
+
+  /// The dense float count the frame expands to (excluding any bias
+  /// trailer), or the Inspect error.
+  StatusOr<int64_t> Validate(const PayloadView& frame) const;
 
   /// Decodes the frame into a dense gradient tensor (shape from the frame;
-  /// raw frames decode 1-D) and, when the frame carries one, the bias
-  /// gradient trailer. Returns Status instead of crashing on bad input.
-  virtual Status Decode(const PayloadView& frame, Tensor* dense,
-                        std::vector<float>* bias) const = 0;
+  /// raw frames decode 1-D) and, when `bias` is non-null, the bias trailer
+  /// (empty when the frame carries none). Returns Status instead of
+  /// crashing on bad input.
+  Status Decode(const PayloadView& frame, Tensor* dense, std::vector<float>* bias) const;
 };
 
 /// Identity codec: a frame is the floats themselves.
@@ -93,9 +128,8 @@ class RawFloatCodec : public Codec {
  public:
   WireCodec id() const override { return WireCodec::kRawFloat; }
   const char* name() const override { return "raw_float"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Stages `floats` floats into a fresh slab (the one unavoidable copy when
   /// the source is not already slab-resident).
@@ -123,9 +157,8 @@ class OneBitCodec : public Codec {
 
   WireCodec id() const override { return WireCodec::kOneBit; }
   const char* name() const override { return "onebit"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Quantizes `gradient` through `quantizer` (which carries the error
   /// feedback residual) and serializes the encoding plus the bias gradient
@@ -135,10 +168,6 @@ class OneBitCodec : public Codec {
 
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
-
-  /// Reconstructs the dense gradient, bitwise identical to
-  /// OneBitQuantizer::Decode on the unserialized encoding.
-  static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
 /// Sufficient-factor frames (U, V, bias); reconstruction is exact and
@@ -158,9 +187,8 @@ class SufficientFactorCodec : public Codec {
 
   WireCodec id() const override { return WireCodec::kSufficientFactor; }
   const char* name() const override { return "sufficient_factor"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Serializes a factor pair plus the bias gradient into one frame.
   static Payload Encode(const SufficientFactors& factors, const float* bias,
@@ -196,9 +224,8 @@ class Fp16Codec : public Codec {
 
   WireCodec id() const override { return WireCodec::kFp16; }
   const char* name() const override { return "fp16"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Stochastically rounds `quant` (the gradient slice with the error
   /// residual already added, n floats) into one frame. The rounding noise is
@@ -216,9 +243,6 @@ class Fp16Codec : public Codec {
 
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
-
-  /// Reconstructs the dense (1-D) gradient via the exact Fp16Unpack formula.
-  static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
 /// int8 frames with one fp32 scale per 256-element chunk
@@ -228,7 +252,7 @@ class Fp16Codec : public Codec {
 class Int8Codec : public Codec {
  public:
   /// Parsed frame: spans into the slab (bias may be empty). Packed bytes are
-  /// bit-cast four to a word; read them through DecodeDense.
+  /// bit-cast four to a word; read them through Expand.
   struct Frame {
     int64_t n = 0;
     int64_t bias_len = 0;
@@ -239,9 +263,8 @@ class Int8Codec : public Codec {
 
   WireCodec id() const override { return WireCodec::kInt8; }
   const char* name() const override { return "int8"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Stochastically rounds `quant` (gradient + residual, n floats) into one
   /// frame; same (seed, base_index) contract as Fp16Codec::EncodeSr. When
@@ -252,9 +275,6 @@ class Int8Codec : public Codec {
 
   /// Validated zero-copy access to a frame's regions.
   static StatusOr<Frame> Parse(const PayloadView& frame);
-
-  /// Reconstructs the dense (1-D) gradient: out[i] = q[i] * scale[chunk].
-  static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
 /// Top-k sparse frames: the k largest-magnitude elements as (index, value)
@@ -281,9 +301,8 @@ class TopKCodec : public Codec {
 
   WireCodec id() const override { return WireCodec::kTopK; }
   const char* name() const override { return "topk"; }
-  StatusOr<int64_t> Validate(const PayloadView& frame) const override;
-  Status Decode(const PayloadView& frame, Tensor* dense,
-                std::vector<float>* bias) const override;
+  StatusOr<Shape> Inspect(const PayloadView& frame) const override;
+  Status Expand(const PayloadView& frame, const Sink& sink) const override;
 
   /// Selects the k largest-magnitude elements of `quant` (gradient +
   /// residual, n floats; 1 <= k <= n) and serializes them exactly. When
@@ -295,9 +314,6 @@ class TopKCodec : public Codec {
   /// Validated zero-copy access to a frame's regions (including the
   /// strictly-increasing index scan).
   static StatusOr<Frame> Parse(const PayloadView& frame);
-
-  /// Scatters the (index, value) pairs into a zeroed dense (1-D) gradient.
-  static Status DecodeDense(const PayloadView& frame, Tensor* out);
 };
 
 /// Process-wide codec table: the six built-in codecs (the three paper

@@ -13,6 +13,7 @@
 
 #include "src/common/rng.h"
 #include "src/simd/quant.h"
+#include "src/simd/vec.h"
 #include "src/tensor/ops.h"
 #include "src/transport/codec.h"
 
@@ -26,6 +27,28 @@ PayloadView Transit(const Payload& frame, Payload* storage) {
   std::memcpy(storage->data(), frame.data(),
               static_cast<size_t>(frame.size()) * sizeof(float));
   return storage->View();
+}
+
+// Frame lengths around the codecs' 1024-element expansion window (and the
+// 256-element int8 chunk): empty-ish, chunk edges, window edges, several
+// windows with a ragged tail.
+const std::vector<int64_t> kWindowSizes = {1, 255, 256, 257, 1023, 1024, 1025, 2049, 3000};
+
+// Decodes through the registry, the path every receiver takes.
+Tensor RegistryDecode(WireCodec id, const PayloadView& frame) {
+  Tensor decoded;
+  const Status status = CodecRegistry::Get(id).Decode(frame, &decoded, nullptr);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return decoded;
+}
+
+// Element-by-element bitwise equality of a decode against its reference.
+void ExpectBitwiseEqual(const Tensor& got, const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), static_cast<int64_t>(want.size()));
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(got.data() + i, &want[static_cast<size_t>(i)], sizeof(float)), 0)
+        << "element " << i << ": " << got[i] << " vs " << want[static_cast<size_t>(i)];
+  }
 }
 
 // ------------------------------------------------------------- raw floats --
@@ -64,7 +87,8 @@ TEST(CodecPropertyTest, OneBitMatchesReferenceDecoderBitwise) {
 
     Payload wire;
     Tensor got;
-    const Status status = OneBitCodec::DecodeDense(Transit(frame, &wire), &got);
+    const Status status =
+        CodecRegistry::Get(WireCodec::kOneBit).Decode(Transit(frame, &wire), &got, nullptr);
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_DOUBLE_EQ(MaxAbsDiff(want, got), 0.0)
         << "codec decode must be bitwise identical to OneBitQuantizer::Decode";
@@ -81,7 +105,9 @@ TEST(CodecPropertyTest, OneBitResidualInvariantHoldsAcrossTheWire) {
   Payload frame = OneBitCodec::Encode(grad, &quantizer, nullptr, 0);
   Payload wire;
   Tensor decoded;
-  ASSERT_TRUE(OneBitCodec::DecodeDense(Transit(frame, &wire), &decoded).ok());
+  ASSERT_TRUE(CodecRegistry::Get(WireCodec::kOneBit)
+                  .Decode(Transit(frame, &wire), &decoded, nullptr)
+                  .ok());
   for (int64_t i = 0; i < grad.size(); ++i) {
     EXPECT_NEAR(decoded[i] + quantizer.residual()[i], grad[i], 1e-6);
   }
@@ -145,18 +171,35 @@ TEST(CodecPropertyTest, SufficientFactorRankOne) {
 
 TEST(CodecPropertyTest, Fp16ResidualInvariantHoldsAcrossTheWire) {
   // Error feedback: decode(frame) + residual' == quant (up to one fp32
-  // rounding in the subtraction; the carried bits re-enter next clock).
+  // rounding in the subtraction; the carried bits re-enter next clock). The
+  // windowed encoder and decoder must match the whole-frame formulas:
+  // simd::Fp16EncodeSr and simd::Fp16Decode over all n halves.
   Rng rng(601);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int64_t n = 1 + static_cast<int64_t>(rng.NextDouble() * 700);
+  for (const int64_t n : kWindowSizes) {
+    SCOPED_TRACE(n);
     Tensor quant = Tensor::RandomUniform({n}, -4.0f, 4.0f, rng);
+    const uint32_t seed = static_cast<uint32_t>(n);
+    const int64_t base_index = 3 * n;
     std::vector<float> residual(static_cast<size_t>(n), 0.0f);
-    Payload frame = Fp16Codec::EncodeSr(quant.data(), n, /*seed=*/trial, /*base_index=*/0,
+    Payload frame = Fp16Codec::EncodeSr(quant.data(), n, seed, base_index,
                                         residual.data(), nullptr, 0);
     Payload wire;
-    Tensor decoded;
-    ASSERT_TRUE(Fp16Codec::DecodeDense(Transit(frame, &wire), &decoded).ok());
+    const Tensor decoded = RegistryDecode(WireCodec::kFp16, Transit(frame, &wire));
     ASSERT_EQ(decoded.size(), n);
+
+    std::vector<uint16_t> want_halves(static_cast<size_t>(n));
+    simd::Fp16EncodeSr(quant.data(), n, seed, base_index, want_halves.data());
+    StatusOr<Fp16Codec::Frame> parsed = Fp16Codec::Parse(wire.View());
+    ASSERT_TRUE(parsed.ok());
+    std::vector<uint16_t> halves(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      halves[static_cast<size_t>(i)] = parsed->half(i);
+    }
+    ASSERT_EQ(halves, want_halves);
+    std::vector<float> want(static_cast<size_t>(n));
+    simd::Fp16Decode(halves.data(), n, want.data());
+    ExpectBitwiseEqual(decoded, want);
+
     for (int64_t i = 0; i < n; ++i) {
       EXPECT_NEAR(decoded[i] + residual[static_cast<size_t>(i)], quant[i], 1e-5)
           << "at " << i;
@@ -195,8 +238,8 @@ TEST(CodecPropertyTest, Fp16OutOfRangeValuesClampAndFlush) {
                                        1e-8f, -1e-8f, 0.0f, -0.0f};
   const int64_t n = static_cast<int64_t>(extremes.size());
   Payload frame = Fp16Codec::EncodeRn(extremes.data(), n, nullptr, 0);
-  Tensor decoded;
-  ASSERT_TRUE(Fp16Codec::DecodeDense(frame.View(), &decoded).ok());
+  const Tensor decoded = RegistryDecode(WireCodec::kFp16, frame.View());
+  ASSERT_EQ(decoded.size(), n);
   EXPECT_FLOAT_EQ(decoded[0], 65504.0f);   // clamp, not inf
   EXPECT_FLOAT_EQ(decoded[1], -65504.0f);
   EXPECT_FLOAT_EQ(decoded[2], 65504.0f);   // max finite half is exact
@@ -210,19 +253,28 @@ TEST(CodecPropertyTest, Fp16OutOfRangeValuesClampAndFlush) {
 // -------------------------------------------------------------------- int8 --
 
 TEST(CodecPropertyTest, Int8ErrorBoundedByChunkScale) {
+  // The windowed decode must match the whole-frame formula
+  // q[i] * scale[i / 256], element by element.
   Rng rng(701);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int64_t n = 1 + static_cast<int64_t>(rng.NextDouble() * 900);
+  for (const int64_t n : kWindowSizes) {
+    SCOPED_TRACE(n);
     Tensor quant = Tensor::RandomUniform({n}, -3.0f, 3.0f, rng);
     std::vector<float> residual(static_cast<size_t>(n), 0.0f);
-    Payload frame = Int8Codec::EncodeSr(quant.data(), n, /*seed=*/trial, 0,
+    Payload frame = Int8Codec::EncodeSr(quant.data(), n, static_cast<uint32_t>(n), 0,
                                         residual.data(), nullptr, 0);
     Payload wire;
-    Tensor decoded;
-    ASSERT_TRUE(Int8Codec::DecodeDense(Transit(frame, &wire), &decoded).ok());
+    const Tensor decoded = RegistryDecode(WireCodec::kInt8, Transit(frame, &wire));
     ASSERT_EQ(decoded.size(), n);
     StatusOr<Int8Codec::Frame> parsed = Int8Codec::Parse(frame.View());
     ASSERT_TRUE(parsed.ok());
+    std::vector<int8_t> q(static_cast<size_t>(n));
+    std::memcpy(q.data(), parsed->packed.data(), static_cast<size_t>(n));
+    std::vector<float> want(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      want[static_cast<size_t>(i)] = static_cast<float>(q[static_cast<size_t>(i)]) *
+                                     parsed->scales.data()[i / simd::kInt8ChunkSize];
+    }
+    ExpectBitwiseEqual(decoded, want);
     for (int64_t i = 0; i < n; ++i) {
       const float scale = parsed->scales.data()[i / simd::kInt8ChunkSize];
       // Stochastic rounding moves at most one quantization step.
@@ -242,8 +294,8 @@ TEST(CodecPropertyTest, Int8BadChunksDecodeToZeroAndCarryResidual) {
   std::vector<float> residual(quant.size(), 0.0f);
   const int64_t n = static_cast<int64_t>(quant.size());
   Payload frame = Int8Codec::EncodeSr(quant.data(), n, 9, 0, residual.data(), nullptr, 0);
-  Tensor decoded;
-  ASSERT_TRUE(Int8Codec::DecodeDense(frame.View(), &decoded).ok());
+  const Tensor decoded = RegistryDecode(WireCodec::kInt8, frame.View());
+  ASSERT_EQ(decoded.size(), n);
   EXPECT_FLOAT_EQ(decoded[5], 0.0f) << "poisoned chunk must decode to zeros";
   EXPECT_FLOAT_EQ(residual[5], 1.5f) << "finite content must survive in the residual";
   EXPECT_NE(decoded[simd::kInt8ChunkSize + 7], 0.0f) << "healthy chunk still encodes";
@@ -263,8 +315,8 @@ TEST(CodecPropertyTest, Int8EncodingIsSeedDeterministic) {
 
 TEST(CodecPropertyTest, TopKSelectsLargestMagnitudesExactly) {
   Rng rng(801);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int64_t n = 16 + static_cast<int64_t>(rng.NextDouble() * 500);
+  for (const int64_t n : kWindowSizes) {
+    SCOPED_TRACE(n);
     const int64_t k = 1 + static_cast<int64_t>(rng.NextDouble() * (n - 1));
     Tensor quant = Tensor::RandomUniform({n}, -5.0f, 5.0f, rng);
     std::vector<float> residual(static_cast<size_t>(n), 0.0f);
@@ -293,12 +345,12 @@ TEST(CodecPropertyTest, TopKSelectsLargestMagnitudesExactly) {
       }
     }
 
-    Tensor decoded;
-    ASSERT_TRUE(TopKCodec::DecodeDense(wire.View(), &decoded).ok());
-    ASSERT_EQ(decoded.size(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(decoded[i], selected[static_cast<size_t>(i)] ? quant[i] : 0.0f);
+    // The windowed decode must match the whole-frame index scatter.
+    std::vector<float> want(static_cast<size_t>(n), 0.0f);
+    for (int64_t i = 0; i < k; ++i) {
+      want[static_cast<size_t>(parsed->index(i))] = parsed->values.data()[i];
     }
+    ExpectBitwiseEqual(RegistryDecode(WireCodec::kTopK, wire.View()), want);
   }
 }
 
@@ -327,7 +379,7 @@ TEST(CodecPropertyTest, TopKRejectsNonIncreasingIndices) {
   std::memcpy(frame.data() + 4, &i0, 4);
   EXPECT_FALSE(TopKCodec::Parse(frame.View()).ok());
   Tensor dense;
-  EXPECT_FALSE(TopKCodec::DecodeDense(frame.View(), &dense).ok());
+  EXPECT_FALSE(CodecRegistry::Get(WireCodec::kTopK).Decode(frame.View(), &dense, nullptr).ok());
 }
 
 // -------------------------------------------------- error-feedback convergence --
@@ -452,7 +504,7 @@ TEST(CodecPropertyTest, NegativeDimensionsAreRejected) {
   const uint32_t negative = 0x80000001u;  // -2147483647 as int32
   std::memcpy(frame.data(), &negative, sizeof(negative));
   Tensor dense;
-  EXPECT_FALSE(OneBitCodec::DecodeDense(frame.View(), &dense).ok());
+  EXPECT_FALSE(CodecRegistry::Get(WireCodec::kOneBit).Decode(frame.View(), &dense, nullptr).ok());
   Tensor out({1, 1});
   EXPECT_FALSE(SufficientFactorCodec::DecodeReconstruct(frame.View(), &out).ok());
 }

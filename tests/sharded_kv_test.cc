@@ -414,5 +414,87 @@ TEST_F(KvShardWireInputTest, Int8FrameWithWrongDenseCountIsRejectedOnArrival) {
   server_.reset();
 }
 
+TEST_F(KvShardWireInputTest, RawPushWithWrongLengthIsRejectedOnArrival) {
+  TrainerOptions options;
+  options.fc_policy = PlanPolicy::kDense;
+  StartServer(options);
+  const int layer = FirstLayer(PlannedScheme::kPS);
+  ASSERT_GE(layer, 0);
+  ASSERT_EQ(plan_->layers[static_cast<size_t>(layer)].compression, GradCompression::kNone);
+  Register(layer);
+
+  const std::vector<KvPairInfo> pairs = coordinator_->PairsOnShard(layer, 0, 0);
+  ASSERT_FALSE(pairs.empty());
+  Payload gradient = Payload::Allocate(coordinator_->layer(layer).total_floats);
+  std::fill(gradient.data(), gradient.data() + gradient.size(), 0.25f);
+  // `drop` floats short on the first pair: a socket peer's misfit raw push.
+  auto chunks = [&](int64_t drop) {
+    std::vector<WireChunk> out;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      out.push_back({pairs[p].offset,
+                     gradient.View(pairs[p].offset, pairs[p].length - (p == 0 ? drop : 0))});
+    }
+    return out;
+  };
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kRawFloat, chunks(/*drop=*/1));
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kRawFloat, chunks(/*drop=*/0));
+  Push(MessageType::kGradPush, layer, 1, WireCodec::kRawFloat, chunks(/*drop=*/0));
+
+  for (int w = 0; w < kWorkers; ++w) {
+    const std::optional<Message> reply = Reply(w);
+    ASSERT_TRUE(reply.has_value()) << "worker " << w << " got no reply";
+    EXPECT_EQ(static_cast<int>(reply->codec), static_cast<int>(WireCodec::kRawFloat));
+    EXPECT_EQ(reply->chunks.size(), pairs.size());
+  }
+  server_->Shutdown();
+  EXPECT_EQ(server_->rejected_pushes(), 1);
+  EXPECT_EQ(server_->pushes_processed(), 3);
+  EXPECT_EQ(server_->applies(), 1);
+  server_.reset();
+}
+
+TEST_F(KvShardWireInputTest, CompressedFrameWithBiasTrailerIsRejectedOnArrival) {
+  TrainerOptions options;
+  options.fc_policy = PlanPolicy::kDense;
+  options.ps_compression = PlanCodecPolicy::kFp16;
+  options.compression_min_floats = 1;
+  StartServer(options);
+  const int layer = FirstLayer(PlannedScheme::kPS);
+  ASSERT_GE(layer, 0);
+  ASSERT_EQ(plan_->layers[static_cast<size_t>(layer)].compression, GradCompression::kFp16);
+  Register(layer);
+
+  const std::vector<KvPairInfo> pairs = coordinator_->PairsOnShard(layer, 0, 0);
+  ASSERT_FALSE(pairs.empty());
+  std::vector<float> gradient(static_cast<size_t>(coordinator_->layer(layer).total_floats),
+                              0.25f);
+  const std::vector<float> bias = {1.0f, -1.0f};
+  // The right dense count, plus a bias trailer no PS pair carries.
+  auto chunks = [&](int64_t bias_len, std::vector<Payload>* frames) {
+    std::vector<WireChunk> out;
+    for (const KvPairInfo& pair : pairs) {
+      frames->push_back(Fp16Codec::EncodeSr(gradient.data() + pair.offset, pair.length,
+                                            QuantSeed(layer, 0), pair.offset, nullptr,
+                                            bias.data(), bias_len));
+      out.push_back({pair.offset, frames->back().View()});
+    }
+    return out;
+  };
+  std::vector<Payload> frames;
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kFp16, chunks(/*bias_len=*/2, &frames));
+  Push(MessageType::kGradPush, layer, 0, WireCodec::kFp16, chunks(/*bias_len=*/0, &frames));
+  Push(MessageType::kGradPush, layer, 1, WireCodec::kFp16, chunks(/*bias_len=*/0, &frames));
+
+  for (int w = 0; w < kWorkers; ++w) {
+    const std::optional<Message> reply = Reply(w);
+    ASSERT_TRUE(reply.has_value()) << "worker " << w << " got no reply";
+    EXPECT_EQ(static_cast<int>(reply->codec), static_cast<int>(WireCodec::kFp16));
+  }
+  server_->Shutdown();
+  EXPECT_EQ(server_->rejected_pushes(), 1);
+  EXPECT_EQ(server_->applies(), 1);
+  server_.reset();
+}
+
 }  // namespace
 }  // namespace poseidon
